@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -39,11 +40,21 @@ func vecSizesDB(t *testing.T, n int) *core.DB {
 	return db
 }
 
+// goldenEngines are the per-request switches for the two execution
+// engines; the goldens must hold on both.
+var goldenEngines = []struct {
+	name string
+	h    Hints
+}{
+	{"row", Hints{NoVectorize: true}},
+	{"vectorized", Hints{}},
+}
+
 // TestVecBatchBoundaries pushes tables of 0, 1, batch-1, batch and batch+1
-// rows through every vectorized operator shape (scan, filter, project,
-// hash-join build and probe sides, DISTINCT, ORDER BY, streaming LIMIT
-// stopping mid-batch) and asserts byte-identical output against the
-// row-at-a-time engine.
+// rows through every operator shape (scan, filter, project, hash-join build
+// and probe sides, DISTINCT, ORDER BY, streaming LIMIT stopping mid-batch)
+// and compares each rendered result and its EXPLAIN ANALYZE row counts
+// against testdata/batch_boundaries.golden, at workers 1, 4 and NumCPU.
 func TestVecBatchBoundaries(t *testing.T) {
 	queries := []string{
 		"SELECT v FROM t",                                             // bare scan
@@ -60,21 +71,100 @@ func TestVecBatchBoundaries(t *testing.T) {
 		"SELECT u.lbl, t.v FROM u, t WHERE u.tag = t.tag LIMIT 10",    // big table on the build side
 		"SELECT expected_count(*) AS n FROM t, u WHERE t.tag = u.tag", // full join drain + aggregate
 	}
-	for _, n := range []int{0, 1, vecBatchSize - 1, vecBatchSize, vecBatchSize + 1} {
-		db := vecSizesDB(t, n)
-		for _, q := range queries {
-			ref, err := ExecContext(WithHints(context.Background(), Hints{NoVectorize: true}), db, q)
-			if err != nil {
-				t.Fatalf("n=%d %s (row): %v", n, q, err)
+	sizes := []int{0, 1, vecBatchSize - 1, vecBatchSize, vecBatchSize + 1}
+	dbs := make([]*core.DB, len(sizes))
+	for i, n := range sizes {
+		dbs[i] = vecSizesDB(t, n)
+	}
+	for _, w := range []int{1, 4, runtime.NumCPU()} {
+		for _, e := range goldenEngines {
+			var b strings.Builder
+			for i, n := range sizes {
+				db := dbs[i]
+				db.UpdateConfig(func(cfg *sampler.Config) { cfg.Workers = w })
+				ctx := WithHints(context.Background(), e.h)
+				for _, q := range queries {
+					fmt.Fprintf(&b, "=== n=%d %s\n", n, q)
+					out, err := ExecContext(ctx, db, q)
+					if err != nil {
+						fmt.Fprintf(&b, "error: %v\n", err)
+						continue
+					}
+					b.WriteString(out.String())
+					node, err := ExplainContext(ctx, db, "EXPLAIN ANALYZE "+q)
+					if err != nil {
+						fmt.Fprintf(&b, "explain error: %v\n", err)
+						continue
+					}
+					var lines []string
+					planRows(node, 0, &lines)
+					b.WriteString("--- plan\n" + strings.Join(lines, "\n") + "\n")
+				}
 			}
-			got, err := ExecContext(context.Background(), db, q)
-			if err != nil {
-				t.Fatalf("n=%d %s (vec): %v", n, q, err)
-			}
-			if got.String() != ref.String() {
-				t.Fatalf("n=%d %s:\nvectorized:\n%s\nrow engine:\n%s", n, q, got, ref)
+			checkGolden(t, "batch_boundaries.golden", fmt.Sprintf("workers=%d %s", w, e.name), b.String())
+		}
+	}
+}
+
+// errRowDB builds a 1500-row table t(v) whose row 1200 holds the string
+// 'x' and every other row its numeric index: the row sits in the second
+// batch, after 1200 good rows.
+func errRowDB(t *testing.T) *core.DB {
+	t.Helper()
+	cfg := sampler.DefaultConfig()
+	cfg.WorldSeed = 99
+	cfg.FixedSamples = 64
+	db := core.NewDB(cfg)
+	mustExec(t, db, "CREATE TABLE t (v)")
+	for lo := 0; lo < 1500; lo += 250 {
+		rows := make([]string, 0, 250)
+		for i := lo; i < lo+250; i++ {
+			if i == 1200 {
+				rows = append(rows, "('x')")
+			} else {
+				rows = append(rows, fmt.Sprintf("(%d)", i))
 			}
 		}
+		mustExec(t, db, "INSERT INTO t VALUES "+strings.Join(rows, ", "))
+	}
+	return db
+}
+
+// TestEmitThenFail pins the error order of a per-row failure in the middle
+// of a batch: a streaming cursor delivers every row before the failing one
+// and then the error, and the eager path returns that same error and no
+// table. The goldens hold the streamed rows and both errors.
+func TestEmitThenFail(t *testing.T) {
+	db := errRowDB(t)
+	queries := []string{
+		"SELECT v FROM t WHERE v > -1", // filter: incomparable values
+		"SELECT v * 2 AS d FROM t",     // project: non-numeric arithmetic
+	}
+	for _, e := range goldenEngines {
+		ctx := WithHints(context.Background(), e.h)
+		var b strings.Builder
+		for _, q := range queries {
+			fmt.Fprintf(&b, "=== stream %s\n", q)
+			cur, err := QueryContext(ctx, db, q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			rows := 0
+			for {
+				tup, err := cur.Next()
+				if err != nil {
+					fmt.Fprintf(&b, "after %d rows: %v\n", rows, err)
+					break
+				}
+				rows++
+				fmt.Fprintf(&b, "%s\n", tup.Values[0])
+			}
+			cur.Close()
+			fmt.Fprintf(&b, "=== exec %s\n", q)
+			out, err := ExecContext(ctx, db, q)
+			fmt.Fprintf(&b, "table=%v error: %v\n", out != nil, err)
+		}
+		checkGolden(t, "emit_then_fail.golden", e.name, b.String())
 	}
 }
 

@@ -1,6 +1,10 @@
 package vectest
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,11 +15,25 @@ import (
 
 const testSamples = 200
 
-// rowEngine / vecEngine are the per-request switches for the two engines.
-var (
-	rowEngine = sql.Hints{NoVectorize: true}
-	vecEngine = sql.Hints{}
-)
+// update rewrites the golden files from the current engine instead of
+// comparing against them: go test ./internal/sql/vectest -update. CI never
+// passes it, so a checked-in golden file changes only by a reviewed commit.
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current engine")
+
+// workerCounts are the sampler worker counts every golden comparison runs
+// at: sampled moments are bit-identical at any worker count, so one golden
+// file serves all of them.
+var workerCounts = []int{1, 4, runtime.NumCPU()}
+
+// engines are the per-request switches for the two execution engines; the
+// goldens must hold on both.
+var engines = []struct {
+	name string
+	h    sql.Hints
+}{
+	{"row", sql.Hints{NoVectorize: true}},
+	{"vectorized", sql.Hints{}},
+}
 
 func seedDB(t *testing.T, workers int) *core.DB {
 	t.Helper()
@@ -26,61 +44,91 @@ func seedDB(t *testing.T, workers int) *core.DB {
 	return db
 }
 
-func run(t *testing.T, db *core.DB, q string, h sql.Hints) Result {
+// written records the golden files rewritten by this -update run, so the
+// first rendering writes a file and every later one is still compared.
+var written = map[string]bool{}
+
+// checkGolden compares got with testdata/name byte for byte, reporting the
+// first differing line.
+func checkGolden(t *testing.T, name, label, got string) {
 	t.Helper()
-	r, err := RunQuery(db, q, h)
+	path := filepath.Join("testdata", name)
+	if *update && !written[path] {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		written[path] = true
+		return
+	}
+	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v (regenerate with: go test -run %s -update)", err, t.Name())
 	}
-	return r
-}
-
-func assertSame(t *testing.T, q, label string, got, want Result) {
-	t.Helper()
-	if got.Rows != want.Rows {
-		t.Fatalf("%s: %s rows differ:\ngot:\n%s\nwant:\n%s", q, label, got.Rows, want.Rows)
+	if got == string(want) {
+		return
 	}
-	if strings.Join(got.Plan, "\n") != strings.Join(want.Plan, "\n") {
-		t.Fatalf("%s: %s EXPLAIN row counts differ:\ngot:\n%s\nwant:\n%s",
-			q, label, strings.Join(got.Plan, "\n"), strings.Join(want.Plan, "\n"))
-	}
-}
-
-// TestEngineDifferential is the harness's core assertion: every corpus
-// query returns a byte-identical result table and identical per-operator
-// row counts on the vectorized and row-at-a-time engines, at every worker
-// count, and the outputs are identical across worker counts too.
-func TestEngineDifferential(t *testing.T) {
-	workerCounts := []int{1, 4, runtime.NumCPU()}
-	baseline := make(map[string]Result)
-	for _, w := range workerCounts {
-		db := seedDB(t, w)
-		for _, q := range Corpus() {
-			ref := run(t, db, q, rowEngine)
-			got := run(t, db, q, vecEngine)
-			assertSame(t, q, "vectorized-vs-row", got, ref)
-			if first, ok := baseline[q]; ok {
-				assertSame(t, q, "cross-worker", got, first)
-			} else {
-				baseline[q] = got
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; ; i++ {
+		if i >= len(gl) || i >= len(wl) || gl[i] != wl[i] {
+			g, w := "<end>", "<end>"
+			if i < len(gl) {
+				g = gl[i]
 			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			t.Fatalf("%s: %s differs from %s at line %d:\n got: %q\nwant: %q", label, name, path, i+1, g, w)
 		}
 	}
 }
 
-// TestEngineDifferentialRulesOff re-runs the corpus with every planner
-// rewrite disabled: both engines must also agree on the naive
-// cross-product-then-filter pipeline (nested-loop joins, no pushdown, no
-// pruning).
-func TestEngineDifferentialRulesOff(t *testing.T) {
-	off := sql.Hints{NoFold: true, NoPushdown: true, NoHashJoin: true, NoPrune: true}
-	offRow := off
-	offRow.NoVectorize = true
-	db := seedDB(t, 1)
+// renderCorpus runs every corpus query under hints h and renders, per
+// query, the result table and the EXPLAIN ANALYZE skeleton, or the error.
+func renderCorpus(db *core.DB, h sql.Hints) string {
+	var b strings.Builder
 	for _, q := range Corpus() {
-		ref := run(t, db, q, offRow)
-		got := run(t, db, q, off)
-		assertSame(t, q, "rules-off vectorized-vs-row", got, ref)
+		fmt.Fprintf(&b, "=== %s\n", q)
+		r, err := RunQuery(db, q, h)
+		if err != nil {
+			fmt.Fprintf(&b, "error: %v\n", err)
+			continue
+		}
+		b.WriteString(r.Rows)
+		b.WriteString("--- plan\n")
+		for _, line := range r.Plan {
+			b.WriteString(line + "\n")
+		}
+	}
+	return b.String()
+}
+
+// TestGoldenCorpus is the harness's core assertion: every corpus query
+// renders a byte-identical result table (values, sampled moments,
+// conditions, row order) and identical per-operator EXPLAIN ANALYZE row
+// counts to the checked-in golden file, at every worker count.
+func TestGoldenCorpus(t *testing.T) {
+	for _, w := range workerCounts {
+		db := seedDB(t, w)
+		for _, e := range engines {
+			checkGolden(t, "corpus.golden", fmt.Sprintf("workers=%d %s", w, e.name), renderCorpus(db, e.h))
+		}
+	}
+}
+
+// TestGoldenCorpusRulesOff re-runs the corpus with every planner rewrite
+// disabled: the naive cross-product-then-filter pipeline (nested-loop
+// joins, no pushdown, no pruning) must match its own golden file.
+func TestGoldenCorpusRulesOff(t *testing.T) {
+	for _, w := range workerCounts {
+		db := seedDB(t, w)
+		for _, e := range engines {
+			h := e.h
+			h.NoFold, h.NoPushdown, h.NoHashJoin, h.NoPrune = true, true, true, true
+			checkGolden(t, "corpus_rules_off.golden", fmt.Sprintf("workers=%d %s", w, e.name), renderCorpus(db, h))
+		}
 	}
 }
 
@@ -91,18 +139,32 @@ func TestEngineDifferentialRulesOff(t *testing.T) {
 func TestSetVectorizeMatchesHint(t *testing.T) {
 	db := seedDB(t, 2)
 	q := Corpus()[8] // TPC-H Q1 analogue: sampled aggregate
-	hintRow := run(t, db, q, rowEngine)
-	hintVec := run(t, db, q, vecEngine)
+	run := func(h sql.Hints) Result {
+		t.Helper()
+		r, err := RunQuery(db, q, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	same := func(label string, got, want Result) {
+		t.Helper()
+		if got.Rows != want.Rows || strings.Join(got.Plan, "\n") != strings.Join(want.Plan, "\n") {
+			t.Fatalf("%s differs:\ngot:\n%s\nwant:\n%s", label, got.Rows, want.Rows)
+		}
+	}
+	hintRow := run(engines[0].h)
+	hintVec := run(engines[1].h)
 	if _, err := sql.Exec(db, "SET vectorize = off"); err != nil {
 		t.Fatal(err)
 	}
-	setRow := run(t, db, q, sql.Hints{})
+	setRow := run(sql.Hints{})
 	if _, err := sql.Exec(db, "SET vectorize = on"); err != nil {
 		t.Fatal(err)
 	}
-	setVec := run(t, db, q, sql.Hints{})
-	assertSame(t, q, "SET off vs hint", setRow, hintRow)
-	assertSame(t, q, "SET on vs default", setVec, hintVec)
+	setVec := run(sql.Hints{})
+	same("SET off vs hint", setRow, hintRow)
+	same("SET on vs default", setVec, hintVec)
 }
 
 // TestVectorizedPlanReportsBatches pins the observability split: the
@@ -118,8 +180,8 @@ func TestVectorizedPlanReportsBatches(t *testing.T) {
 		}
 		return out.String()
 	}
-	vec := render(vecEngine)
-	row := render(rowEngine)
+	vec := render(engines[1].h)
+	row := render(engines[0].h)
 	if !strings.Contains(vec, "batches=") {
 		t.Fatalf("vectorized EXPLAIN ANALYZE lacks batches=:\n%s", vec)
 	}
@@ -128,42 +190,45 @@ func TestVectorizedPlanReportsBatches(t *testing.T) {
 	}
 }
 
-// TestStreamingCursorsMatch drives both engines through the public
-// streaming cursor (QueryContext) instead of eager drain, pulling one row
-// at a time — the row facade over NextBatch must deliver the same rows in
-// the same order as the row engine.
+// streamQueries are pulled through the public streaming cursor one row at
+// a time.
+var streamQueries = []string{
+	"SELECT o.okey, c.name FROM orders o, customers c WHERE o.cust = c.cust ORDER BY o.okey LIMIT 7",
+	"SELECT cust, price FROM customers WHERE price > 200",
+	"SELECT s.berg, h.ship, conf() AS threat FROM sightings s, ships h WHERE s.plat > h.lat - 0.5 AND s.plat < h.lat + 0.5 AND s.plon > h.lon - 0.5 AND s.plon < h.lon + 0.5",
+}
+
+// TestStreamingCursorsMatch drives the engine through the public streaming
+// cursor (QueryContext) instead of eager drain, pulling one row at a time:
+// the rows, their order and the way the stream ends must match the golden
+// file.
 func TestStreamingCursorsMatch(t *testing.T) {
-	db := seedDB(t, 1)
-	for _, q := range []string{
-		"SELECT o.okey, c.name FROM orders o, customers c WHERE o.cust = c.cust ORDER BY o.okey LIMIT 7",
-		"SELECT cust, price FROM customers WHERE price > 200",
-		"SELECT s.berg, h.ship, conf() AS threat FROM sightings s, ships h WHERE s.plat > h.lat - 0.5 AND s.plat < h.lat + 0.5 AND s.plon > h.lon - 0.5 AND s.plon < h.lon + 0.5",
-	} {
-		stream := func(h sql.Hints) []string {
-			cur, err := sql.QueryContext(sql.WithHints(t.Context(), h), db, q)
-			if err != nil {
-				t.Fatalf("%s: %v", q, err)
-			}
-			defer cur.Close()
-			var rows []string
-			for {
-				tup, err := cur.Next()
+	for _, w := range workerCounts {
+		db := seedDB(t, w)
+		for _, e := range engines {
+			var b strings.Builder
+			for _, q := range streamQueries {
+				fmt.Fprintf(&b, "=== %s\n", q)
+				cur, err := sql.QueryContext(sql.WithHints(t.Context(), e.h), db, q)
 				if err != nil {
-					break
+					fmt.Fprintf(&b, "error: %v\n", err)
+					continue
 				}
-				cells := make([]string, len(tup.Values))
-				for i, v := range tup.Values {
-					cells[i] = v.String()
+				for {
+					tup, err := cur.Next()
+					if err != nil {
+						fmt.Fprintf(&b, "end: %v\n", err)
+						break
+					}
+					cells := make([]string, len(tup.Values))
+					for i, v := range tup.Values {
+						cells[i] = v.String()
+					}
+					fmt.Fprintf(&b, "%s@%s\n", strings.Join(cells, "|"), tup.Cond)
 				}
-				rows = append(rows, strings.Join(cells, "|")+"@"+tup.Cond.String())
+				cur.Close()
 			}
-			return rows
-		}
-		ref := stream(rowEngine)
-		got := stream(vecEngine)
-		if strings.Join(ref, "\n") != strings.Join(got, "\n") {
-			t.Fatalf("%s: streamed rows differ:\ngot:\n%s\nwant:\n%s",
-				q, strings.Join(got, "\n"), strings.Join(ref, "\n"))
+			checkGolden(t, "streams.golden", fmt.Sprintf("workers=%d %s", w, e.name), b.String())
 		}
 	}
 }
