@@ -48,15 +48,12 @@ type benchReport struct {
 	// Speedup is the parallel world-evaluation curve (bench.Speedup), one
 	// row per workload.
 	Speedup []speedupReport `json:"speedup"`
-	// Vectorized is the vectorized-vs-row A/B experiment
-	// (bench.VectorizeAB), one row per workload. Additive: benchgate
-	// ignores fields it does not know, so old baselines stay comparable.
-	Vectorized []vectorizeReport `json:"vectorized"`
 	// JoinBenches tracks the 3-table join pair — hash join and the
 	// hint-forced nested-loop cross product, the same query and hints as
 	// the repo's BenchmarkJoin3* benchmarks — through the public API, so
 	// join-engine wins and regressions land in the baseline trajectory.
-	// Additive like Vectorized.
+	// Additive: benchgate ignores fields it does not know, so old baselines
+	// stay comparable.
 	JoinBenches []joinBenchReport `json:"join_benches"`
 }
 
@@ -64,16 +61,6 @@ type benchReport struct {
 type joinReport struct {
 	Query string  `json:"query"`
 	Ms    float64 `json:"ms"`
-}
-
-// vectorizeReport is one bench.VectorizeRow, flattened for JSON.
-type vectorizeReport struct {
-	Workload  string  `json:"workload"`
-	Query     string  `json:"query"`
-	RowMs     float64 `json:"row_ms"`
-	VecMs     float64 `json:"vec_ms"`
-	Speedup   float64 `json:"speedup"`
-	Identical bool    `json:"identical"`
 }
 
 // joinBenchReport is one join micro-benchmark: average wall clock per
@@ -162,22 +149,6 @@ func runJSON(path string, opt bench.Options, quick bool, workers int) error {
 	rep.JoinBenches, err = measureJoinBenches()
 	if err != nil {
 		return fmt.Errorf("join benches: %w", err)
-	}
-
-	// Vectorized-vs-row A/B with the differential bit-identity verdicts.
-	vrows, err := bench.VectorizeAB(opt)
-	if err != nil {
-		return fmt.Errorf("vectorize: %w", err)
-	}
-	for _, r := range vrows {
-		rep.Vectorized = append(rep.Vectorized, vectorizeReport{
-			Workload:  r.Workload,
-			Query:     r.Query,
-			RowMs:     float64(r.RowTime.Microseconds()) / 1000,
-			VecMs:     float64(r.VecTime.Microseconds()) / 1000,
-			Speedup:   r.Speedup(),
-			Identical: r.Identical,
-		})
 	}
 
 	buf, err := json.MarshalIndent(rep, "", "  ")

@@ -1,7 +1,7 @@
 // Command pipbench regenerates the paper's evaluation figures (§VI) and
 // measures the parallel world-evaluation engine:
 //
-//	pipbench -experiment fig5|fig6|fig7a|fig7b|fig8|speedup|vectorize|all [-quick]
+//	pipbench -experiment fig5|fig6|fig7a|fig7b|fig8|speedup|all [-quick]
 //	         [-seed N] [-samples N] [-trials N] [-workers N]
 //
 // Each figure experiment prints the same series the corresponding figure
@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig5, fig6, fig7a, fig7b, fig8, speedup, vectorize or all")
+		experiment = flag.String("experiment", "all", "fig5, fig6, fig7a, fig7b, fig8, speedup or all")
 		quick      = flag.Bool("quick", false, "use the fast, small-scale configuration")
 		seed       = flag.Uint64("seed", 0, "override the world seed (0 = default)")
 		samples    = flag.Int("samples", 0, "override the PIP sample budget (0 = default 1000)")
@@ -117,17 +117,8 @@ func main() {
 		return nil
 	})
 
-	run("vectorize", func() error {
-		rows, err := bench.VectorizeAB(opt)
-		if err != nil {
-			return err
-		}
-		bench.WriteVectorize(os.Stdout, rows)
-		return nil
-	})
-
 	switch *experiment {
-	case "all", "fig5", "fig6", "fig7a", "fig7b", "fig8", "speedup", "vectorize":
+	case "all", "fig5", "fig6", "fig7a", "fig7b", "fig8", "speedup":
 	default:
 		fmt.Fprintf(os.Stderr, "pipbench: unknown experiment %q\n", *experiment)
 		os.Exit(2)

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"pip/internal/ctable"
+	"pip/internal/sampler"
 )
 
 // RootSessionID is the session identifier of the database handle returned
@@ -87,6 +88,20 @@ func (db *DB) EnsureSessionFloor(floor uint64) {
 	if db.cat.nextSession <= floor {
 		db.cat.nextSession = floor + 1
 	}
+}
+
+// ReplaySession returns a handle for logged session sid, initialized from
+// the current configuration like Session, but carrying sid itself instead
+// of a fresh identifier. Replay uses it so re-creating a logged session
+// leaves the session-id allocator where EnsureSessionFloor puts it: a fresh
+// identifier per replay handle would advance the allocator once more per
+// session first seen in the replayed tail, and the recovered catalog's
+// allocator state would depend on where the newest snapshot happened to
+// cut the log.
+func (db *DB) ReplaySession(sid uint64) *DB {
+	db.EnsureSessionFloor(sid)
+	cfg := db.Config()
+	return &DB{cat: db.cat, sid: sid, smp: sampler.New(cfg), cfg: cfg}
 }
 
 // RunExclusive runs fn while holding the statement-commit lock: no mutating

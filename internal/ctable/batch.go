@@ -1,7 +1,7 @@
-// Columnar batches: the unit of data exchange between vectorized query
-// operators. A Batch holds ~1k rows as column-major Value slices plus a
-// per-row local condition, with an optional selection vector so filters can
-// drop rows without copying the surviving cells. Batches carry the same
+// Columnar batches: the unit of data exchange between query operators. A
+// Batch holds ~1k rows as column-major Value slices plus a per-row local
+// condition, with an optional selection vector so filters can drop rows
+// without copying the surviving cells. Batches carry the same
 // information as a []Tuple slice — operators produce identical rows in
 // identical order through either representation.
 

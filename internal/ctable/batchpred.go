@@ -9,9 +9,9 @@ import "pip/internal/cond"
 // Compare conjuncts whose operands are column references or literals —
 // which is how equi-join residuals and constant filters arrive after
 // planning. Rows that leave the fragment at runtime (a symbolic operand, an
-// incomparable pair) are reported back to the caller, which must re-run the
-// shared row-at-a-time unit on exactly that row so outcomes, condition
-// rewrites and error messages stay bit-identical to the row engine.
+// incomparable pair) are reported back to the caller, which must run
+// ApplyPredicate on exactly that row, so outcomes, condition rewrites and
+// error messages are those of ApplyPredicate for every row.
 
 // batchCmp is one compiled Compare conjunct. A negative column index means
 // the corresponding literal value is used instead.

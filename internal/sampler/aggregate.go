@@ -494,7 +494,10 @@ func (s *Sampler) ExpectationHistogram(e expr.Expr, c cond.Clause, n int) ([]flo
 		}
 		samplers = append(samplers, gs)
 	}
-	engine := newGroupEngine(&s.cfg, samplers, e, true)
+	engine, err := newGroupEngine(&s.cfg, samplers, e, true)
+	if err != nil {
+		return nil, err
+	}
 	values, _, _ := engine.runFixed(n)
 	if engine.err != nil {
 		return nil, engine.err

@@ -96,11 +96,6 @@ type Config struct {
 	DisableMetropolis   bool // never escalate to Metropolis
 	DisableExactCDF     bool // never integrate exactly; always sample
 	DisableClosedForm   bool // never use closed-form means; always sample
-	// DisableVectorize falls back to per-sample expression-tree walks
-	// instead of compiled postfix programs evaluated batch-at-a-time. Both
-	// paths are bit-identical; the switch exists for differential testing
-	// and A/B benchmarks (SQL surface: SET vectorize = on|off).
-	DisableVectorize bool
 }
 
 // DefaultConfig returns the configuration used by the paper's experiments:

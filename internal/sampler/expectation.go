@@ -161,7 +161,10 @@ func (s *Sampler) Expectation(e expr.Expr, c cond.Clause, getP bool) Result {
 	// bound is checked at round barriers, and per-batch accumulators merge
 	// in batch order, so the result is bit-identical for every worker count.
 	if len(samplingGroups) > 0 || len(eKeys) > 0 {
-		engine := newGroupEngine(&s.cfg, samplingGroups, e, false)
+		engine, err := newGroupEngine(&s.cfg, samplingGroups, e, false)
+		if err != nil {
+			return Result{Err: err}
+		}
 		acc, ok := engine.runAdaptive()
 		if engine.err != nil {
 			return Result{Err: engine.err}

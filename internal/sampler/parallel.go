@@ -2,6 +2,7 @@ package sampler
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -140,13 +141,11 @@ type groupBatch struct {
 type groupEngine struct {
 	cfg    *Config
 	protos []*groupSampler
-	e      expr.Expr // nil: accumulate 1 per sample (counting only)
-	// prog is e compiled to a flat postfix program, evaluated across a whole
-	// batch of drawn sample worlds in one pass (nil when vectorization is
-	// disabled or e uses nodes the compiler does not know). Evaluation is
-	// a pure read of the per-sample assignment, so batching the evaluations
-	// after the batch's draws changes no PRNG state and no merge order —
-	// results are bit-identical to the per-sample tree walk.
+	// prog is the target expression compiled to a flat postfix program,
+	// evaluated across a whole batch of drawn sample worlds in one pass; nil
+	// means counting only (accumulate 1 per sample). Evaluation is a pure
+	// read of the per-sample assignment, so evaluating after the batch's
+	// draws changes no PRNG state and no merge order.
 	prog *expr.Program
 	// collect keeps every per-sample value (histogram mode) in addition to
 	// the moment accumulator.
@@ -168,12 +167,17 @@ type groupEngine struct {
 	err error
 }
 
-func newGroupEngine(cfg *Config, protos []*groupSampler, e expr.Expr, collect bool) *groupEngine {
-	ge := &groupEngine{cfg: cfg, protos: protos, e: e, collect: collect}
-	if e != nil && !cfg.DisableVectorize {
-		if p, err := expr.Compile(e); err == nil {
-			ge.prog = p
+// newGroupEngine builds an engine evaluating e (nil: counting only). It
+// fails when e cannot be compiled to a program, which only an Expr
+// implementation from outside internal/expr can cause.
+func newGroupEngine(cfg *Config, protos []*groupSampler, e expr.Expr, collect bool) (*groupEngine, error) {
+	ge := &groupEngine{cfg: cfg, protos: protos, collect: collect}
+	if e != nil {
+		p, err := expr.Compile(e)
+		if err != nil {
+			return nil, fmt.Errorf("sampler: %w", err)
 		}
+		ge.prog = p
 	}
 	for _, gs := range protos {
 		if gs.usingMetropolis() {
@@ -182,7 +186,7 @@ func newGroupEngine(cfg *Config, protos []*groupSampler, e expr.Expr, collect bo
 			break
 		}
 	}
-	return ge
+	return ge, nil
 }
 
 // runRound draws the sample index range [start, start+count), merging batch
@@ -307,12 +311,11 @@ func (ge *groupEngine) runBatch(start, n int) groupBatch {
 	if ge.collect {
 		res.values = make([]float64, 0, n)
 	}
-	// Vectorized scratch: one flat allocation holds the slot columns, the
+	// Program scratch: one flat allocation holds the slot columns, the
 	// output column, and the evaluation stack for the whole batch.
-	vec := ge.prog != nil && n > 0
 	var cols [][]float64
 	var vals, out, stack []float64
-	if vec {
+	if ge.prog != nil && n > 0 {
 		nslots := ge.prog.NumSlots()
 		flat := make([]float64, (nslots+1+ge.prog.MaxStack())*n+nslots)
 		cols = make([][]float64, nslots)
@@ -337,29 +340,24 @@ func (ge *groupEngine) runBatch(start, n int) groupBatch {
 			res.failedAt = start + i
 			break
 		}
-		if vec {
-			// Snapshot this sample's variable values into the columns; the
-			// arithmetic runs once for the whole batch after the draw loop.
-			ge.prog.Gather(asn, vals)
-			for s := range cols {
-				cols[s][drawn] = vals[s]
+		if ge.prog == nil {
+			res.acc.Add(1)
+			if ge.collect {
+				res.values = append(res.values, 1)
 			}
-			drawn++
 			continue
 		}
-		v := 1.0
-		if ge.e != nil {
-			v = ge.e.Eval(asn)
+		// Snapshot this sample's variable values into the columns; the
+		// arithmetic runs once for the whole batch after the draw loop.
+		ge.prog.Gather(asn, vals)
+		for s := range cols {
+			cols[s][drawn] = vals[s]
 		}
-		res.acc.Add(v)
-		if ge.collect {
-			res.values = append(res.values, v)
-		}
+		drawn++
 	}
-	if vec && drawn > 0 {
+	if drawn > 0 {
 		ge.prog.EvalBatch(cols, drawn, out, stack)
-		// Accumulate in sample order — the identical Add sequence the
-		// per-sample path performs.
+		// Accumulate in sample order.
 		for _, v := range out[:drawn] {
 			res.acc.Add(v)
 			if ge.collect {

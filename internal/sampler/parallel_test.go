@@ -2,6 +2,7 @@ package sampler
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pip/internal/cond"
@@ -331,5 +332,31 @@ func TestEffectiveWorkers(t *testing.T) {
 	cfg.Workers = 5
 	if got := cfg.effectiveWorkers(); got != 5 {
 		t.Fatalf("explicit workers resolved to %d, want 5", got)
+	}
+}
+
+// opaqueExpr is an Expr implementation from outside internal/expr: it
+// delegates every method to the wrapped expression, but expr.Compile does
+// not know its type.
+type opaqueExpr struct{ expr.Expr }
+
+// TestUncompilableExprFails pins the one evaluation path: the sampler
+// evaluates targets only through compiled programs, so a target expr.Compile
+// rejects is an error of the estimator, never a silent tree walk.
+func TestUncompilableExprFails(t *testing.T) {
+	s := testSampler()
+	y := mkVar(t, dist.Normal{}, 0, 1)
+	e := opaqueExpr{expr.NewVar(y)}
+	c := cond.Clause{atom(expr.NewVar(y), cond.GT, expr.Const(0))}
+	_, wantErr := expr.Compile(e)
+	if wantErr == nil {
+		t.Fatal("expr.Compile accepted the opaque expression")
+	}
+	r := s.Expectation(e, c, true)
+	if r.Err == nil || !strings.Contains(r.Err.Error(), wantErr.Error()) {
+		t.Fatalf("Expectation error = %v, want the compile error %q", r.Err, wantErr)
+	}
+	if _, err := s.ExpectationHistogram(e, c, 100); err == nil || !strings.Contains(err.Error(), wantErr.Error()) {
+		t.Fatalf("ExpectationHistogram error = %v, want the compile error %q", err, wantErr)
 	}
 }

@@ -36,8 +36,8 @@ type PlanNode struct {
 	// (ANALYZE only).
 	Elapsed time.Duration
 	// OpBatches is the number of column batches the operator emitted
-	// (ANALYZE only; zero on the row-at-a-time engine). Distinct from
-	// Batches below, which counts sampler batches.
+	// (ANALYZE only). Distinct from Batches below, which counts sampler
+	// batches.
 	OpBatches int64
 	// Sampling reports that the operator carries its own sampler telemetry
 	// scope (Project and Aggregate nodes); Samples, Batches and AcceptRate
@@ -73,11 +73,7 @@ func (n *PlanNode) render(out *[]string, depth int) {
 		line += " " + n.Detail
 	}
 	if n.Analyzed {
-		line += fmt.Sprintf(" [rows=%d", n.Rows)
-		if n.OpBatches > 0 {
-			line += fmt.Sprintf(" batches=%d", n.OpBatches)
-		}
-		line += fmt.Sprintf(" time=%s", n.Elapsed.Round(time.Microsecond))
+		line += fmt.Sprintf(" [rows=%d batches=%d time=%s", n.Rows, n.OpBatches, n.Elapsed.Round(time.Microsecond))
 		if n.Sampling {
 			line += fmt.Sprintf(" samples=%d batches=%d", n.Samples, n.Batches)
 			if n.AcceptRate >= 0 {

@@ -1,8 +1,31 @@
-// Physical operators: every plan node lowers onto an operator implementing
-// the public Cursor interface, so the whole engine — eager execution,
-// streaming Rows, EXPLAIN — runs one pull-based pipeline. Operators track
-// emitted row counts (and, under EXPLAIN ANALYZE, cumulative wall time) in
-// an embedded opBase.
+// Physical operators: every logical plan node lowers onto one columnar
+// batch operator. Operators exchange ctable.Batch column vectors through
+// NextBatch(max), so the scan/filter/join spine runs without per-row
+// interface dispatch or per-row allocation. Rows leave a plan in exactly
+// two places: physPlan.drain gathers the root's batches into the result
+// c-table (eager execution, EXPLAIN ANALYZE), and planCursor (stream.go)
+// gathers them one row per Next for streaming callers.
+//
+// Three properties are load-bearing, and the golden corpus
+// (internal/sql/vectest/testdata, internal/sql/testdata) pins all three:
+//
+//   - Row order: scans advance the table snapshot in order, joins emit
+//     matches in build-side input order per probe row (the order of the
+//     filtered cross product), and blocking operators materialize their
+//     input before computing.
+//   - Row counts: NextBatch(max) is need-driven. An operator never emits
+//     more than max rows and never pulls more input than its own need:
+//     Filter pulls child chunks sized by its remaining need (within a
+//     chunk of size s at most s rows pass, so the need is never
+//     overshot), and joins under limit pressure (a streaming LIMIT above,
+//     computed at lowering) pull probe rows one at a time while buffering
+//     in-flight matches. EXPLAIN ANALYZE rows= therefore counts exactly
+//     the rows a row-at-a-time pull would have produced.
+//   - Errors: a per-row error inside a batch is held back until the rows
+//     preceding it have been emitted (emit-then-fail), so a streaming
+//     caller sees every good row before the error.
+//
+// Cancellation is checked once per batch boundary rather than per row.
 
 package sql
 
@@ -22,13 +45,23 @@ import (
 // opStats holds per-operator execution counters for EXPLAIN ANALYZE.
 type opStats struct {
 	rows    int64
-	batches int64         // column batches emitted (vectorized operators only)
+	batches int64         // column batches emitted
 	elapsed time.Duration // cumulative: includes time spent in child operators
 }
 
-// operator is a physical plan node: a Cursor plus plan-rendering metadata.
+// operator is a physical plan node.
 type operator interface {
-	Cursor
+	// NextBatch returns the next batch of at most max rows. It never
+	// returns an empty batch: the stream ends with (nil, io.EOF), fails
+	// with (nil, err). The batch is valid until the following NextBatch
+	// call on the same operator. A cancelled request context surfaces as
+	// ctx.Err().
+	NextBatch(max int) (*ctable.Batch, error)
+	// Columns returns the operator's output column names.
+	Columns() []string
+	// Close releases the operator and its children. It is idempotent;
+	// NextBatch after Close returns io.EOF.
+	Close() error
 	base() *opBase
 }
 
@@ -48,7 +81,7 @@ type opBase struct {
 
 func (b *opBase) base() *opBase { return b }
 
-// Columns implements Cursor.
+// Columns implements operator.
 func (b *opBase) Columns() []string { return b.cols }
 
 // begin starts a timing window when ANALYZE instrumentation is on.
@@ -60,17 +93,18 @@ func (b *opBase) begin() time.Time {
 	return time.Time{}
 }
 
-// emit closes the timing window and counts the emitted row (nil on
-// EOF/error), passing the pair through for a tail-call from Next.
-func (b *opBase) emit(t0 time.Time, t *ctable.Tuple, err error) (*ctable.Tuple, error) {
+// emit closes the timing window and counts the emitted batch and its rows,
+// passing the pair through for a tail-call from NextBatch.
+func (b *opBase) emit(t0 time.Time, batch *ctable.Batch, err error) (*ctable.Batch, error) {
 	if b.timed {
 		//pipvet:allow detsource ANALYZE timing window, never feeds sampled state
 		b.stats.elapsed += time.Since(t0)
 	}
-	if t != nil {
-		b.stats.rows++
+	if batch != nil {
+		b.stats.rows += int64(batch.Len())
+		b.stats.batches++
 	}
-	return t, err
+	return batch, err
 }
 
 // closeKids closes all child operators, keeping the first error.
@@ -91,9 +125,9 @@ type physPlan struct {
 	qs   *obs.QueryStats
 }
 
-// drain runs the plan to completion, materializing the result c-table —
-// the eager execution path shares the streaming operator pipeline. The
-// whole pull loop is the trace's "execute" phase.
+// drain runs the plan to completion, materializing the result c-table
+// straight out of the root's batches. The whole pull loop is the trace's
+// "execute" phase.
 func (p *physPlan) drain() (*ctable.Table, error) {
 	defer p.qs.StartPhase("execute")()
 	names := p.root.Columns()
@@ -103,34 +137,98 @@ func (p *physPlan) drain() (*ctable.Table, error) {
 	}
 	out := &ctable.Table{Name: p.name, Schema: sch}
 	defer p.root.Close()
-	if v, ok := p.root.(vecOperator); ok {
-		// Batch fast path: gather rows straight out of the root's batches
-		// (one backing allocation per batch, no Clone round trip).
-		for {
-			b, err := v.NextBatch(vecBatchSize)
-			if err == io.EOF {
-				return out, nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			gatherBatch(b, &out.Tuples)
-		}
+	if err := materialize(p.root, &out.Tuples); err != nil {
+		return nil, err
 	}
+	return out, nil
+}
+
+// batchSize is the target number of rows per column batch.
+const batchSize = 1024
+
+// batchCap sizes a batch's initial allocation: the caller's need capped by
+// the rows known to be available. Small queries allocate small batches (the
+// demo catalog never pays for 1024-row columns); large scans still get one
+// full-width allocation. Append grows the columns if the estimate is low.
+func batchCap(avail, max int) int {
+	if avail < 0 || avail > max {
+		return max
+	}
+	if avail < 1 {
+		return 1
+	}
+	return avail
+}
+
+// materialize drains an operator into a tuple slice. Rows are gathered out
+// of the batches (batch memory is producer-owned and reused), so the
+// returned tuples are stable for the query's duration. Each batch is
+// gathered through one flat allocation — the per-row Values slices are
+// disjoint subslices with clamped capacity.
+func materialize(op operator, into *[]ctable.Tuple) error {
 	for {
-		t, err := p.root.Next()
+		b, err := op.NextBatch(batchSize)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		gatherBatch(b, into)
+	}
+}
+
+// materializeBatch drains an operator into one dense column-major batch
+// (no selection vector). Cells are copied out of the
+// producer-owned batches, so the result is stable for the query's duration;
+// dense input batches copy over one bulk append per column.
+func materializeBatch(op operator, ncols int) (*ctable.Batch, error) {
+	out := ctable.NewBatch(ncols, 0)
+	for {
+		b, err := op.NextBatch(batchSize)
 		if err == io.EOF {
 			return out, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		out.Tuples = append(out.Tuples, t.Clone())
+		if b.Sel == nil {
+			for c := range out.Cols {
+				out.Cols[c] = append(out.Cols[c], b.Cols[c]...)
+			}
+			out.Conds = append(out.Conds, b.Conds...)
+			continue
+		}
+		for _, phys := range b.Sel {
+			for c := range out.Cols {
+				out.Cols[c] = append(out.Cols[c], b.Cols[c][phys])
+			}
+			out.Conds = append(out.Conds, b.Conds[phys])
+		}
 	}
 }
 
-// lowerNode lowers a logical node onto its operator, recursively.
-func lowerNode(env execEnv, n lnode, timed bool) (operator, error) {
+// gatherBatch appends every live row of b to into as stable tuples, using a
+// single backing allocation for the batch's cells.
+func gatherBatch(b *ctable.Batch, into *[]ctable.Tuple) {
+	n, w := b.Len(), len(b.Cols)
+	if n == 0 {
+		return
+	}
+	flat := make([]ctable.Value, n*w)
+	for k := 0; k < n; k++ {
+		vals := flat[k*w : (k+1)*w : (k+1)*w]
+		c := b.GatherRow(k, vals)
+		*into = append(*into, ctable.Tuple{Values: vals, Cond: c})
+	}
+}
+
+// lower lowers a logical node onto its operator, recursively. pressure
+// marks subtrees under a streaming LIMIT with no blocking operator in
+// between: joins there pull probe rows one at a time so upstream row counts
+// stop exactly at the limit's need. Blocking operators (Sort, Distinct,
+// Aggregate) drain their input fully and reset the flag for their children.
+func lower(env execEnv, n lnode, timed, pressure bool) (operator, error) {
 	mk := func(cols []string, kids ...operator) opBase {
 		return opBase{name: n.op(), detail: n.detail(), cols: cols, kids: kids, timed: timed}
 	}
@@ -142,22 +240,21 @@ func lowerNode(env execEnv, n lnode, timed bool) (operator, error) {
 		}
 		return &scanOp{opBase: mk(t.outCols()), env: env, tuples: t.tuples, keep: t.keep, pre: pre}, nil
 	case *lJoin:
-		left, err := lowerNode(env, t.left, timed)
+		left, err := lower(env, t.left, timed, pressure)
 		if err != nil {
 			return nil, err
 		}
-		right, err := lowerNode(env, t.right, timed)
+		right, err := lower(env, t.right, timed, false)
 		if err != nil {
 			return nil, err
 		}
 		cols := append(append([]string{}, left.Columns()...), right.Columns()...)
-		if t.hash {
-			return &hashJoinOp{opBase: mk(cols, left, right), env: env,
-				left: left, right: right, leftKeys: t.leftKeys, rightKeys: t.rightKeys}, nil
-		}
-		return &nestedLoopOp{opBase: mk(cols, left, right), env: env, left: left, right: right}, nil
+		return &joinOp{opBase: mk(cols, left, right), env: env,
+			left: left, right: right, hash: t.hash,
+			leftKeys: t.leftKeys, rightKeys: t.rightKeys,
+			nLeft: len(left.Columns()), pressure: pressure}, nil
 	case *lFilter:
-		child, err := lowerNode(env, t.input, timed)
+		child, err := lower(env, t.input, timed, pressure)
 		if err != nil {
 			return nil, err
 		}
@@ -165,9 +262,12 @@ func lowerNode(env execEnv, n lnode, timed bool) (operator, error) {
 		for i, p := range t.preds {
 			pred[i] = p.cmp
 		}
-		return &filterOp{opBase: mk(child.Columns(), child), child: child, pred: pred}, nil
+		o := &filterOp{opBase: mk(child.Columns(), child), child: child, pred: pred}
+		o.predI = o.pred // boxed once; ApplyPredicate per row would re-box
+		o.bp, _ = ctable.CompileBatchPred(pred)
+		return o, nil
 	case *lProject:
-		child, err := lowerNode(env, t.input, timed)
+		child, err := lower(env, t.input, timed, pressure)
 		if err != nil {
 			return nil, err
 		}
@@ -175,7 +275,7 @@ func lowerNode(env execEnv, n lnode, timed bool) (operator, error) {
 		oenv := opScope(env, &b)
 		return &projectOp{opBase: b, env: oenv, child: child, spec: t}, nil
 	case *lAggregate:
-		child, err := lowerNode(env, t.input, timed)
+		child, err := lower(env, t.input, timed, false)
 		if err != nil {
 			return nil, err
 		}
@@ -183,19 +283,19 @@ func lowerNode(env execEnv, n lnode, timed bool) (operator, error) {
 		oenv := opScope(env, &b)
 		return &aggOp{opBase: b, env: oenv, child: child, spec: t}, nil
 	case *lDistinct:
-		child, err := lowerNode(env, t.input, timed)
+		child, err := lower(env, t.input, timed, false)
 		if err != nil {
 			return nil, err
 		}
 		return &distinctOp{opBase: mk(child.Columns(), child), child: child}, nil
 	case *lSort:
-		child, err := lowerNode(env, t.input, timed)
+		child, err := lower(env, t.input, timed, false)
 		if err != nil {
 			return nil, err
 		}
 		return &sortOp{opBase: mk(child.Columns(), child), child: child, col: t.col, colName: t.name, desc: t.desc}, nil
 	case *lLimit:
-		child, err := lowerNode(env, t.input, timed)
+		child, err := lower(env, t.input, timed, true)
 		if err != nil {
 			return nil, err
 		}
@@ -225,37 +325,39 @@ func opScope(env execEnv, b *opBase) execEnv {
 // ---------------------------------------------------------------------------
 // Scan
 
-// scanOp iterates a table snapshot, skipping tuples with trivially false
-// conditions, applying the pushed-down drop-only prefilter, and projecting
-// the kept columns. Prefilter evaluation errors are deferred to the final
-// Filter, which re-evaluates the same comparison on every surviving row;
-// rows the prefilter drops (or starves downstream of) follow the rewriter's
-// error-scope contract (see rewrite.go).
+// scanOp fills a column batch with up to max kept rows from the table
+// snapshot, skipping tuples with trivially false conditions, applying the
+// pushed-down drop-only prefilter, and projecting the kept columns. The
+// output batch is reused across calls. Prefilter evaluation errors are
+// deferred to the final Filter, which re-evaluates the same comparison on
+// every surviving row; rows the prefilter drops (or starves downstream of)
+// follow the rewriter's error-scope contract (see rewrite.go).
 type scanOp struct {
 	opBase
 	env    execEnv
 	tuples []ctable.Tuple
 	keep   []int
 	pre    []ctable.Compare
+	out    *ctable.Batch
 	i      int
 	done   bool
 }
 
-// Next implements Cursor.
-func (o *scanOp) Next() (*ctable.Tuple, error) {
+// NextBatch implements operator.
+func (o *scanOp) NextBatch(max int) (*ctable.Batch, error) {
 	t0 := o.begin()
-	for {
-		if o.done {
-			return o.emit(t0, nil, io.EOF)
-		}
-		if err := o.env.ctxErr(); err != nil {
-			o.done = true
-			return o.emit(t0, nil, err)
-		}
-		if o.i >= len(o.tuples) {
-			o.done = true
-			return o.emit(t0, nil, io.EOF)
-		}
+	if o.done {
+		return o.emit(t0, nil, io.EOF)
+	}
+	if err := o.env.ctxErr(); err != nil {
+		o.done = true
+		return o.emit(t0, nil, err)
+	}
+	if o.out == nil {
+		o.out = ctable.NewBatch(len(o.cols), batchCap(len(o.tuples)-o.i, max))
+	}
+	o.out.Reset()
+	for o.out.Len() < max && o.i < len(o.tuples) {
 		t := &o.tuples[o.i]
 		o.i++
 		if t.Cond.IsFalse() {
@@ -273,334 +375,185 @@ func (o *scanOp) Next() (*ctable.Tuple, error) {
 			continue
 		}
 		if o.keep == nil {
-			return o.emit(t0, t, nil)
+			o.out.AppendRow(t.Values, t.Cond)
+			continue
 		}
-		vals := make([]ctable.Value, len(o.keep))
 		for n, c := range o.keep {
-			vals[n] = t.Values[c]
+			o.out.Cols[n] = append(o.out.Cols[n], t.Values[c])
 		}
-		return o.emit(t0, &ctable.Tuple{Values: vals, Cond: t.Cond}, nil)
+		o.out.Conds = append(o.out.Conds, t.Cond)
 	}
+	if o.out.Len() == 0 {
+		o.done = true
+		return o.emit(t0, nil, io.EOF)
+	}
+	return o.emit(t0, o.out, nil)
 }
 
-// Close implements Cursor.
+// Close implements operator.
 func (o *scanOp) Close() error {
 	o.done = true
 	return nil
 }
 
 // ---------------------------------------------------------------------------
-// Joins
-
-// nestedLoopOp is the filtered-cross-product fallback for joins without
-// extractable equi-keys: the right input materializes once, then every left
-// tuple pairs with every right tuple (conditions conjoined, trivially false
-// pairs dropped) in the same order the pre-planner odometer produced.
-type nestedLoopOp struct {
-	opBase
-	env         execEnv
-	left, right operator
-	inner       []ctable.Tuple
-	built       bool
-	cur         *ctable.Tuple
-	ri          int
-	done        bool
-}
-
-// Next implements Cursor.
-func (o *nestedLoopOp) Next() (*ctable.Tuple, error) {
-	t0 := o.begin()
-	if o.done {
-		return o.emit(t0, nil, io.EOF)
-	}
-	if !o.built {
-		if err := materialize(o.right, &o.inner); err != nil {
-			o.done = true
-			return o.emit(t0, nil, err)
-		}
-		o.built = true
-	}
-	for {
-		if o.cur == nil {
-			t, err := o.left.Next()
-			if err != nil {
-				o.done = true
-				return o.emit(t0, nil, err)
-			}
-			o.cur = t
-			o.ri = 0
-		}
-		for o.ri < len(o.inner) {
-			if err := o.env.ctxErr(); err != nil {
-				o.done = true
-				return o.emit(t0, nil, err)
-			}
-			r := &o.inner[o.ri]
-			o.ri++
-			nc := o.cur.Cond.And(r.Cond)
-			if nc.IsFalse() {
-				continue
-			}
-			return o.emit(t0, joinTuple(o.cur, r, nc), nil)
-		}
-		o.cur = nil
-	}
-}
-
-// Close implements Cursor.
-func (o *nestedLoopOp) Close() error {
-	o.done = true
-	return o.closeKids()
-}
-
-// hashJoinOp pairs rows whose deterministic key columns are equal: the
-// right input builds a hash table (per-key row lists in input order, plus a
-// fallback list for symbolic keys, which must pair with every probe row and
-// let the final Filter conjoin the comparison as a condition atom); the
-// left input probes row by row. Match emission follows build-side input
-// order, so output order is identical to the filtered cross product. Keys
-// of incomparable kinds (a string probing a numeric column) simply never
-// pair — the "incomparable values" error the cross product would raise on
-// those pairs falls under the rewriter's error-scope contract (rewrite.go).
-type hashJoinOp struct {
-	opBase
-	env                 execEnv
-	left, right         operator
-	leftKeys, rightKeys []int
-	build               []ctable.Tuple
-	buckets             map[string][]int
-	symb                []int
-	keyBuf              []byte
-	built               bool
-	cur                 *ctable.Tuple
-	matches             []int
-	all                 bool // probe key symbolic: scan every build row
-	mi                  int
-	done                bool
-}
-
-// joinKey appends the binary key of a tuple's key columns to buf (see
-// Value.AppendBinaryKey — same equivalence classes as HashKey, no float
-// formatting), reporting ok=false when any key cell is symbolic (those rows
-// take the pair-with-everything path). Callers reuse buf across rows; probe
-// lookups convert it with an allocation-free map[string] access.
-func joinKey(t *ctable.Tuple, cols []int, buf []byte) ([]byte, bool) {
-	for _, c := range cols {
-		v := t.Values[c]
-		if v.IsSymbolic() {
-			return buf, false
-		}
-		buf = v.AppendBinaryKey(buf)
-	}
-	return buf, true
-}
-
-// Next implements Cursor.
-func (o *hashJoinOp) Next() (*ctable.Tuple, error) {
-	t0 := o.begin()
-	if o.done {
-		return o.emit(t0, nil, io.EOF)
-	}
-	if !o.built {
-		if err := materialize(o.right, &o.build); err != nil {
-			o.done = true
-			return o.emit(t0, nil, err)
-		}
-		o.buckets = make(map[string][]int, len(o.build))
-		for i := range o.build {
-			var ok bool
-			o.keyBuf, ok = joinKey(&o.build[i], o.rightKeys, o.keyBuf[:0])
-			if ok {
-				o.buckets[string(o.keyBuf)] = append(o.buckets[string(o.keyBuf)], i)
-			} else {
-				o.symb = append(o.symb, i)
-			}
-		}
-		o.built = true
-	}
-	for {
-		if o.cur == nil {
-			t, err := o.left.Next()
-			if err != nil {
-				o.done = true
-				return o.emit(t0, nil, err)
-			}
-			o.cur = t
-			o.mi = 0
-			var ok bool
-			o.keyBuf, ok = joinKey(t, o.leftKeys, o.keyBuf[:0])
-			if ok {
-				o.all = false
-				o.matches = mergeSorted(o.buckets[string(o.keyBuf)], o.symb)
-			} else {
-				o.all = true
-				o.matches = nil
-			}
-		}
-		n := len(o.matches)
-		if o.all {
-			n = len(o.build)
-		}
-		for o.mi < n {
-			if err := o.env.ctxErr(); err != nil {
-				o.done = true
-				return o.emit(t0, nil, err)
-			}
-			j := o.mi
-			if !o.all {
-				j = o.matches[o.mi]
-			}
-			o.mi++
-			r := &o.build[j]
-			nc := o.cur.Cond.And(r.Cond)
-			if nc.IsFalse() {
-				continue
-			}
-			return o.emit(t0, joinTuple(o.cur, r, nc), nil)
-		}
-		o.cur = nil
-	}
-}
-
-// Close implements Cursor.
-func (o *hashJoinOp) Close() error {
-	o.done = true
-	return o.closeKids()
-}
-
-// joinTuple concatenates two rows under an already-conjoined condition.
-func joinTuple(l, r *ctable.Tuple, nc cond.Condition) *ctable.Tuple {
-	vals := make([]ctable.Value, 0, len(l.Values)+len(r.Values))
-	vals = append(vals, l.Values...)
-	vals = append(vals, r.Values...)
-	return &ctable.Tuple{Values: vals, Cond: nc}
-}
-
-// mergeSorted merges two ascending index lists (either may be empty).
-func mergeSorted(a, b []int) []int {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// materialize drains an operator into a tuple slice. Emitted tuples are
-// stable for the query's duration (snapshots or per-row allocations), so
-// the struct copy shares value slices safely.
-func materialize(op operator, into *[]ctable.Tuple) error {
-	for {
-		t, err := op.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		*into = append(*into, *t)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Filter / Project
+// Filter
 
 // filterOp applies the remaining WHERE conjuncts in source order via
 // ApplyPredicate: deterministic failures drop the row, symbolic comparisons
 // conjoin condition atoms, and conditions proven inconsistent by Algorithm
-// 3.2 are removed.
+// 3.2 are removed. It is zero-copy: surviving rows are recorded in the
+// child batch's selection vector (their possibly rewritten conditions
+// overwrite the batch's condition slots), and the child batch itself is
+// passed downstream. The child chunk size equals the caller's remaining
+// need, so the filter never pulls more input rows than it must.
 type filterOp struct {
 	opBase
-	child operator
-	pred  ctable.AndPred
-	done  bool
+	child   operator
+	pred    ctable.AndPred
+	predI   ctable.Predicate // pred boxed once for the per-row ApplyPredicate path
+	bp      *ctable.BatchPred
+	row     []ctable.Value
+	sel     []int
+	pendErr error
+	done    bool
 }
 
-// Next implements Cursor.
-func (o *filterOp) Next() (*ctable.Tuple, error) {
+// NextBatch implements operator.
+func (o *filterOp) NextBatch(max int) (*ctable.Batch, error) {
 	t0 := o.begin()
+	if o.done {
+		return o.emit(t0, nil, io.EOF)
+	}
+	if o.pendErr != nil {
+		o.done = true
+		return o.emit(t0, nil, o.pendErr)
+	}
+	if o.row == nil {
+		o.row = make([]ctable.Value, len(o.cols))
+	}
 	for {
-		if o.done {
-			return o.emit(t0, nil, io.EOF)
-		}
-		t, err := o.child.Next()
+		b, err := o.child.NextBatch(max)
 		if err != nil {
 			o.done = true
 			return o.emit(t0, nil, err)
 		}
-		kept, keep, err := ctable.ApplyPredicate(t, o.pred)
-		if err != nil {
+		n := b.Len()
+		sel := o.sel[:0]
+		var rowErr error
+		for k := 0; k < n; k++ {
+			phys := b.RowIdx(k)
+			if o.bp != nil {
+				// Columnar fast path: fully deterministic rows are decided
+				// straight from the batch columns; a kept row's condition is
+				// untouched, exactly as ApplyPredicate leaves PredTrue rows.
+				if keep, ok := o.bp.EvalRow(b, phys); ok {
+					if keep {
+						sel = append(sel, phys)
+					}
+					continue
+				}
+			}
+			c := b.GatherRow(k, o.row)
+			t := ctable.Tuple{Values: o.row, Cond: c}
+			kept, keep, err := ctable.ApplyPredicate(&t, o.predI)
+			if err != nil {
+				rowErr = err
+				break
+			}
+			if !keep {
+				continue
+			}
+			b.Conds[phys] = kept.Cond
+			sel = append(sel, phys)
+		}
+		if rowErr != nil && len(sel) == 0 {
 			o.done = true
-			return o.emit(t0, nil, err)
+			return o.emit(t0, nil, rowErr)
 		}
-		if !keep {
-			continue
+		if len(sel) > 0 {
+			o.pendErr = rowErr
+			o.sel = sel
+			b.Sel = sel
+			return o.emit(t0, b, nil)
 		}
-		out := kept
-		return o.emit(t0, &out, nil)
+		o.sel = sel
+		// Whole chunk filtered out: pull the next one.
 	}
 }
 
-// Close implements Cursor.
+// Close implements operator.
 func (o *filterOp) Close() error {
 	o.done = true
 	return o.closeKids()
 }
 
-// projectOp computes the SELECT targets per row and finishes the per-row
-// probability functions: expectation() and variance()/stddev() evaluate
-// their cell under the request-scoped sampler, and conf() is
-// probability-removing — it fills in the row's probability and strips the
-// condition.
+// ---------------------------------------------------------------------------
+// Project
+
+// projectOp computes the SELECT targets per row through finishProject
+// (sampling functions included) and scatters them into a dense output
+// batch. Rows map 1:1, so the chunk size is simply the caller's need.
 type projectOp struct {
 	opBase
-	env   execEnv
-	child operator
-	spec  *lProject
-	done  bool
+	env     execEnv
+	child   operator
+	spec    *lProject
+	row     []ctable.Value
+	out     *ctable.Batch
+	pendErr error
+	done    bool
 }
 
-// Next implements Cursor.
-func (o *projectOp) Next() (*ctable.Tuple, error) {
+// NextBatch implements operator.
+func (o *projectOp) NextBatch(max int) (*ctable.Batch, error) {
 	t0 := o.begin()
 	if o.done {
 		return o.emit(t0, nil, io.EOF)
 	}
-	t, err := o.child.Next()
+	if o.pendErr != nil {
+		o.done = true
+		return o.emit(t0, nil, o.pendErr)
+	}
+	b, err := o.child.NextBatch(max)
 	if err != nil {
 		o.done = true
 		return o.emit(t0, nil, err)
 	}
-	out, err := o.finish(t)
-	if err != nil {
-		o.done = true
-		return o.emit(t0, nil, err)
+	if o.row == nil {
+		o.row = make([]ctable.Value, len(o.child.Columns()))
+		o.out = ctable.NewBatch(len(o.cols), batchCap(b.Len(), max))
 	}
-	return o.emit(t0, out, nil)
+	o.out.Reset()
+	n := b.Len()
+	for k := 0; k < n; k++ {
+		c := b.GatherRow(k, o.row)
+		t := ctable.Tuple{Values: o.row, Cond: c}
+		res, err := finishProject(o.env, o.spec, &t)
+		if err != nil {
+			if o.out.Len() == 0 {
+				o.done = true
+				return o.emit(t0, nil, err)
+			}
+			o.pendErr = err
+			break
+		}
+		o.out.AppendTuple(res)
+	}
+	return o.emit(t0, o.out, nil)
 }
 
-// finish projects one tuple and applies the per-row functions.
-func (o *projectOp) finish(t *ctable.Tuple) (*ctable.Tuple, error) {
-	return finishProject(o.env, o.spec, t)
+// Close implements operator.
+func (o *projectOp) Close() error {
+	o.done = true
+	return o.closeKids()
 }
 
 // finishProject computes the projection targets for one row and applies the
-// per-row probability functions — the shared per-row unit behind the
-// row-at-a-time and vectorized Project operators.
+// per-row probability functions: expectation() and variance()/stddev()
+// evaluate their cell under the request-scoped sampler, and conf() is
+// probability-removing — it fills in the row's probability and strips the
+// condition.
 func finishProject(env execEnv, q *lProject, t *ctable.Tuple) (*ctable.Tuple, error) {
 	vals := make([]ctable.Value, len(q.targets))
 	for j, tgt := range q.targets {
@@ -661,81 +614,332 @@ func finishProject(env execEnv, q *lProject, t *ctable.Tuple) (*ctable.Tuple, er
 	return &out, nil
 }
 
-// Close implements Cursor.
-func (o *projectOp) Close() error {
+// ---------------------------------------------------------------------------
+// Joins
+
+// joinOp pairs left (probe) rows with right (build) rows, conjoining their
+// conditions and dropping trivially false pairs. The build side
+// materializes once into a dense column-major batch. With hash set it is
+// the equi-join: build rows are bucketed by their deterministic key
+// columns, plus a fallback list for symbolic keys, which must pair with
+// every probe row and let the final Filter conjoin the comparison as a
+// condition atom. Keys of incomparable kinds (a string probing a numeric
+// column) simply never pair — the "incomparable values" error the cross
+// product would raise on those pairs falls under the rewriter's
+// error-scope contract (rewrite.go). Without hash it is the
+// filtered-cross-product fallback for joins without extractable equi-keys.
+//
+// Probe rows stream through in chunks — single rows under limit pressure —
+// and every match is emitted in build-side input order, so output order is
+// identical to the filtered cross product. In-flight matches are buffered
+// across NextBatch calls, so no probe row is pulled before its
+// predecessors' matches have been delivered.
+type joinOp struct {
+	opBase
+	env                 execEnv
+	left, right         operator
+	hash                bool
+	leftKeys, rightKeys []int
+	nLeft               int
+	pressure            bool
+
+	bb            *ctable.Batch // build side, dense column-major
+	anyBuildFalse bool          // some build row has a false condition
+	buckets       map[string][]int
+	symb          []int
+	keyBuf        []byte
+	built         bool
+
+	pb        *ctable.Batch // current probe batch
+	pi        int           // next logical probe row in pb
+	pphys     int           // physical index of the in-flight probe row
+	probeCond cond.Condition
+	probing   bool // pphys/matches hold an in-flight probe row
+	matches   []int
+	all       bool
+	mi        int
+
+	out     *ctable.Batch
+	pendErr error
+	done    bool
+}
+
+// NextBatch implements operator.
+func (o *joinOp) NextBatch(max int) (*ctable.Batch, error) {
+	t0 := o.begin()
+	if o.done {
+		return o.emit(t0, nil, io.EOF)
+	}
+	if o.pendErr != nil {
+		o.done = true
+		return o.emit(t0, nil, o.pendErr)
+	}
+	if err := o.env.ctxErr(); err != nil {
+		o.done = true
+		return o.emit(t0, nil, err)
+	}
+	if !o.built {
+		bb, err := materializeBatch(o.right, len(o.right.Columns()))
+		if err != nil {
+			o.done = true
+			return o.emit(t0, nil, err)
+		}
+		o.bb = bb
+		for _, c := range bb.Conds {
+			if c.IsFalse() {
+				o.anyBuildFalse = true
+				break
+			}
+		}
+		if o.hash {
+			o.buckets = make(map[string][]int, len(bb.Conds))
+			for i := range bb.Conds {
+				kb, ok := o.keyBuf[:0], true
+				for _, c := range o.rightKeys {
+					v := bb.Cols[c][i]
+					if v.IsSymbolic() {
+						ok = false
+						break
+					}
+					kb = v.AppendBinaryKey(kb)
+				}
+				o.keyBuf = kb
+				if ok {
+					o.buckets[string(kb)] = append(o.buckets[string(kb)], i)
+				} else {
+					o.symb = append(o.symb, i)
+				}
+			}
+		}
+		o.built = true
+	}
+	if o.out == nil {
+		o.out = ctable.NewBatch(len(o.cols), batchCap(len(o.bb.Conds), max))
+	}
+	o.out.Reset()
+	for o.out.Len() < max {
+		if !o.probing {
+			// Advance to the next probe row, pulling a new chunk when the
+			// current batch is exhausted.
+			if o.pb == nil || o.pi >= o.pb.Len() {
+				chunk := batchSize
+				if o.pressure {
+					chunk = 1
+				}
+				b, err := o.left.NextBatch(chunk)
+				if err != nil {
+					if o.out.Len() > 0 {
+						o.pendErr = err
+						return o.emit(t0, o.out, nil)
+					}
+					o.done = true
+					return o.emit(t0, nil, err)
+				}
+				o.pb, o.pi = b, 0
+			}
+			// The in-flight probe row is read in place: pb stays valid until
+			// the next left.NextBatch, which only happens after every row of
+			// this batch has finished probing.
+			o.pphys = o.pb.RowIdx(o.pi)
+			o.probeCond = o.pb.Conds[o.pphys]
+			o.pi++
+			o.mi = 0
+			o.all = !o.hash
+			o.matches = nil
+			if o.hash {
+				kb, ok := o.keyBuf[:0], true
+				for _, c := range o.leftKeys {
+					v := o.pb.Cols[c][o.pphys]
+					if v.IsSymbolic() {
+						ok = false
+						break
+					}
+					kb = v.AppendBinaryKey(kb)
+				}
+				o.keyBuf = kb
+				if ok {
+					o.matches = mergeSorted(o.buckets[string(kb)], o.symb)
+				} else {
+					o.all = true
+				}
+			}
+			o.probing = true
+		}
+		n := len(o.matches)
+		if o.all {
+			n = len(o.bb.Conds)
+		}
+		if o.all && !o.anyBuildFalse && o.probeCond.IsTrivialTrue() {
+			// Bulk run: every pair of this cross-product probe row survives,
+			// and each pair's condition is exactly the build row's (And with
+			// a trivially-true probe condition is the identity), so right
+			// columns and conditions copy over one bulk append per column.
+			m := n - o.mi
+			if r := max - o.out.Len(); m > r {
+				m = r
+			}
+			lo, hi := o.mi, o.mi+m
+			for c := 0; c < o.nLeft; c++ {
+				v := o.pb.Cols[c][o.pphys]
+				for i := 0; i < m; i++ {
+					o.out.Cols[c] = append(o.out.Cols[c], v)
+				}
+			}
+			for c := o.nLeft; c < len(o.out.Cols); c++ {
+				o.out.Cols[c] = append(o.out.Cols[c], o.bb.Cols[c-o.nLeft][lo:hi]...)
+			}
+			o.out.Conds = append(o.out.Conds, o.bb.Conds[lo:hi]...)
+			o.mi = hi
+		} else {
+			for o.mi < n && o.out.Len() < max {
+				j := o.mi
+				if !o.all {
+					j = o.matches[o.mi]
+				}
+				o.mi++
+				nc := o.probeCond.And(o.bb.Conds[j])
+				if nc.IsFalse() {
+					continue
+				}
+				for c := 0; c < o.nLeft; c++ {
+					o.out.Cols[c] = append(o.out.Cols[c], o.pb.Cols[c][o.pphys])
+				}
+				for c := o.nLeft; c < len(o.out.Cols); c++ {
+					o.out.Cols[c] = append(o.out.Cols[c], o.bb.Cols[c-o.nLeft][j])
+				}
+				o.out.Conds = append(o.out.Conds, nc)
+			}
+		}
+		if o.mi >= n {
+			o.probing = false
+		}
+	}
+	return o.emit(t0, o.out, nil)
+}
+
+// Close implements operator.
+func (o *joinOp) Close() error {
 	o.done = true
 	return o.closeKids()
 }
 
+// mergeSorted merges two ascending index lists (either may be empty).
+func mergeSorted(a, b []int) []int {
+	if len(b) == 0 {
+		return a
+	}
+	if len(a) == 0 {
+		return b
+	}
+	out := make([]int, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i] < b[j] {
+			out = append(out, a[i])
+			i++
+		} else {
+			out = append(out, b[j])
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	out = append(out, b[j:]...)
+	return out
+}
+
 // ---------------------------------------------------------------------------
-// Aggregate
+// Blocking operators: Aggregate, Distinct, Sort
+
+// emitTable streams a materialized result table in batches of at most max
+// rows, tracking the emission cursor in *i.
+func emitTable(vb *opBase, out **ctable.Batch, result *ctable.Table, i *int, max int) *ctable.Batch {
+	if *i >= len(result.Tuples) {
+		return nil
+	}
+	if *out == nil {
+		*out = ctable.NewBatch(len(vb.cols), batchCap(len(result.Tuples)-*i, max))
+	}
+	(*out).Reset()
+	for (*out).Len() < max && *i < len(result.Tuples) {
+		(*out).AppendTuple(&result.Tuples[*i])
+		*i++
+	}
+	return *out
+}
 
 // aggOp materializes its input, stages [group keys..., agg args...] per
-// row, partitions by key, and evaluates the expectation aggregates (the
-// probability-removing operators of paper §V-A) per group under the
-// request-scoped sampler.
+// row (stageAggRow), partitions by key, evaluates the expectation
+// aggregates (the probability-removing operators of paper §V-A) per group
+// under the request-scoped sampler (computeAgg), and emits the result in
+// batches.
 type aggOp struct {
 	opBase
 	env    execEnv
 	child  operator
 	spec   *lAggregate
 	result *ctable.Table
+	out    *ctable.Batch
 	i      int
 	done   bool
 }
 
-// Next implements Cursor.
-func (o *aggOp) Next() (*ctable.Tuple, error) {
+// NextBatch implements operator.
+func (o *aggOp) NextBatch(max int) (*ctable.Batch, error) {
 	t0 := o.begin()
 	if o.done {
 		return o.emit(t0, nil, io.EOF)
 	}
 	if o.result == nil {
-		res, err := o.compute()
+		a := o.spec
+		sch := make(ctable.Schema, len(a.stagedNames))
+		for i, n := range a.stagedNames {
+			sch[i] = ctable.Column{Name: n}
+		}
+		staged := &ctable.Table{Name: "agg_input", Schema: sch}
+		row := make([]ctable.Value, len(o.child.Columns()))
+		for {
+			b, err := o.child.NextBatch(batchSize)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				o.done = true
+				return o.emit(t0, nil, err)
+			}
+			for k := 0; k < b.Len(); k++ {
+				c := b.GatherRow(k, row)
+				t := ctable.Tuple{Values: row, Cond: c}
+				st, err := stageAggRow(a, &t)
+				if err != nil {
+					o.done = true
+					return o.emit(t0, nil, err)
+				}
+				staged.Tuples = append(staged.Tuples, st)
+			}
+		}
+		res, err := computeAgg(o.env, a, staged)
 		if err != nil {
 			o.done = true
 			return o.emit(t0, nil, err)
 		}
 		o.result = res
 	}
-	if o.i >= len(o.result.Tuples) {
+	b := emitTable(&o.opBase, &o.out, o.result, &o.i, max)
+	if b == nil {
 		o.done = true
 		return o.emit(t0, nil, io.EOF)
 	}
-	t := &o.result.Tuples[o.i]
-	o.i++
-	return o.emit(t0, t, nil)
+	return o.emit(t0, b, nil)
 }
 
-// compute drains the child, stages the aggregate inputs and evaluates
-// every group.
-func (o *aggOp) compute() (*ctable.Table, error) {
-	a := o.spec
-
-	sch := make(ctable.Schema, len(a.stagedNames))
-	for i, n := range a.stagedNames {
-		sch[i] = ctable.Column{Name: n}
-	}
-	staged := &ctable.Table{Name: "agg_input", Schema: sch}
-	for {
-		t, err := o.child.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		st, err := stageAggRow(a, t)
-		if err != nil {
-			return nil, err
-		}
-		staged.Tuples = append(staged.Tuples, st)
-	}
-	return computeAgg(o.env, a, staged)
+// Close implements operator.
+func (o *aggOp) Close() error {
+	o.done = true
+	return o.closeKids()
 }
 
 // stageAggRow resolves the [group keys..., agg args...] staging targets for
-// one input row — the shared per-row unit behind both aggregate operators.
+// one input row.
 func stageAggRow(a *lAggregate, t *ctable.Tuple) (ctable.Tuple, error) {
 	vals := make([]ctable.Value, len(a.staged))
 	for j, tgt := range a.staged {
@@ -749,8 +953,7 @@ func stageAggRow(a *lAggregate, t *ctable.Tuple) (ctable.Tuple, error) {
 }
 
 // computeAgg partitions a staged input table by its key columns and
-// evaluates the expectation aggregates per group — shared by the
-// row-at-a-time and vectorized Aggregate operators.
+// evaluates the expectation aggregates per group.
 func computeAgg(env execEnv, a *lAggregate, staged *ctable.Table) (*ctable.Table, error) {
 	// Group.
 	var groups []ctable.GroupRows
@@ -866,27 +1069,20 @@ func computeAgg(env execEnv, a *lAggregate, staged *ctable.Table) (*ctable.Table
 	return out, nil
 }
 
-// Close implements Cursor.
-func (o *aggOp) Close() error {
-	o.done = true
-	return o.closeKids()
-}
-
-// ---------------------------------------------------------------------------
-// Distinct / Sort / Limit / Result
-
-// distinctOp materializes its input and coalesces duplicate data tuples,
-// OR-ing their conditions into DNF (first-occurrence order preserved).
+// distinctOp materializes its input and coalesces duplicate data tuples
+// via ctable.Distinct, OR-ing their conditions into DNF (first-occurrence
+// order preserved), then emits the result in batches.
 type distinctOp struct {
 	opBase
 	child  operator
 	result *ctable.Table
+	out    *ctable.Batch
 	i      int
 	done   bool
 }
 
-// Next implements Cursor.
-func (o *distinctOp) Next() (*ctable.Tuple, error) {
+// NextBatch implements operator.
+func (o *distinctOp) NextBatch(max int) (*ctable.Batch, error) {
 	t0 := o.begin()
 	if o.done {
 		return o.emit(t0, nil, io.EOF)
@@ -897,26 +1093,24 @@ func (o *distinctOp) Next() (*ctable.Tuple, error) {
 			o.done = true
 			return o.emit(t0, nil, err)
 		}
-		tb := &ctable.Table{Tuples: rows}
-		o.result = ctable.Distinct(tb)
+		o.result = ctable.Distinct(&ctable.Table{Tuples: rows})
 	}
-	if o.i >= len(o.result.Tuples) {
+	b := emitTable(&o.opBase, &o.out, o.result, &o.i, max)
+	if b == nil {
 		o.done = true
 		return o.emit(t0, nil, io.EOF)
 	}
-	t := &o.result.Tuples[o.i]
-	o.i++
-	return o.emit(t0, t, nil)
+	return o.emit(t0, b, nil)
 }
 
-// Close implements Cursor.
+// Close implements operator.
 func (o *distinctOp) Close() error {
 	o.done = true
 	return o.closeKids()
 }
 
-// sortOp materializes its input and orders it deterministically
-// (stable sort) by one output column.
+// sortOp materializes its input, orders it deterministically (stable
+// sort) by one output column, and emits the result in batches.
 type sortOp struct {
 	opBase
 	child   operator
@@ -924,13 +1118,14 @@ type sortOp struct {
 	colName string
 	desc    bool
 	rows    []ctable.Tuple
+	out     *ctable.Batch
 	sorted  bool
 	i       int
 	done    bool
 }
 
-// Next implements Cursor.
-func (o *sortOp) Next() (*ctable.Tuple, error) {
+// NextBatch implements operator.
+func (o *sortOp) NextBatch(max int) (*ctable.Batch, error) {
 	t0 := o.begin()
 	if o.done {
 		return o.emit(t0, nil, io.EOF)
@@ -958,23 +1153,28 @@ func (o *sortOp) Next() (*ctable.Tuple, error) {
 		}
 		o.sorted = true
 	}
-	if o.i >= len(o.rows) {
+	result := &ctable.Table{Tuples: o.rows}
+	b := emitTable(&o.opBase, &o.out, result, &o.i, max)
+	if b == nil {
 		o.done = true
 		return o.emit(t0, nil, io.EOF)
 	}
-	t := &o.rows[o.i]
-	o.i++
-	return o.emit(t0, t, nil)
+	return o.emit(t0, b, nil)
 }
 
-// Close implements Cursor.
+// Close implements operator.
 func (o *sortOp) Close() error {
 	o.done = true
 	return o.closeKids()
 }
 
-// limitOp truncates the stream after n rows; upstream operators stop being
-// pulled, so per-row sampling beyond the limit never runs.
+// ---------------------------------------------------------------------------
+// Limit / Result
+
+// limitOp truncates the stream after n rows. It forwards its remaining
+// budget as the child's chunk size, so upstream operators stop being
+// pulled the moment the limit fills and per-row sampling beyond the limit
+// never runs.
 type limitOp struct {
 	opBase
 	child     operator
@@ -982,23 +1182,28 @@ type limitOp struct {
 	done      bool
 }
 
-// Next implements Cursor.
-func (o *limitOp) Next() (*ctable.Tuple, error) {
+// NextBatch implements operator.
+func (o *limitOp) NextBatch(max int) (*ctable.Batch, error) {
 	t0 := o.begin()
 	if o.done || o.remaining <= 0 {
 		o.done = true
 		return o.emit(t0, nil, io.EOF)
 	}
-	t, err := o.child.Next()
+	n := max
+	if o.remaining < n {
+		n = o.remaining
+	}
+	b, err := o.child.NextBatch(n)
 	if err != nil {
 		o.done = true
 		return o.emit(t0, nil, err)
 	}
-	o.remaining--
-	return o.emit(t0, t, nil)
+	b = b.Head(n)
+	o.remaining -= b.Len()
+	return o.emit(t0, b, nil)
 }
 
-// Close implements Cursor.
+// Close implements operator.
 func (o *limitOp) Close() error {
 	o.done = true
 	return o.closeKids()
@@ -1009,10 +1214,10 @@ type emptyOp struct {
 	opBase
 }
 
-// Next implements Cursor.
-func (o *emptyOp) Next() (*ctable.Tuple, error) {
+// NextBatch implements operator.
+func (o *emptyOp) NextBatch(int) (*ctable.Batch, error) {
 	return nil, io.EOF
 }
 
-// Close implements Cursor.
+// Close implements operator.
 func (o *emptyOp) Close() error { return nil }

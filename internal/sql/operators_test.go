@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pip/internal/core"
+	"pip/internal/golden"
 	"pip/internal/sampler"
 )
 
@@ -40,16 +41,6 @@ func vecSizesDB(t *testing.T, n int) *core.DB {
 	return db
 }
 
-// goldenEngines are the per-request switches for the two execution
-// engines; the goldens must hold on both.
-var goldenEngines = []struct {
-	name string
-	h    Hints
-}{
-	{"row", Hints{NoVectorize: true}},
-	{"vectorized", Hints{}},
-}
-
 // TestVecBatchBoundaries pushes tables of 0, 1, batch-1, batch and batch+1
 // rows through every operator shape (scan, filter, project, hash-join build
 // and probe sides, DISTINCT, ORDER BY, streaming LIMIT stopping mid-batch)
@@ -71,38 +62,35 @@ func TestVecBatchBoundaries(t *testing.T) {
 		"SELECT u.lbl, t.v FROM u, t WHERE u.tag = t.tag LIMIT 10",    // big table on the build side
 		"SELECT expected_count(*) AS n FROM t, u WHERE t.tag = u.tag", // full join drain + aggregate
 	}
-	sizes := []int{0, 1, vecBatchSize - 1, vecBatchSize, vecBatchSize + 1}
+	sizes := []int{0, 1, batchSize - 1, batchSize, batchSize + 1}
 	dbs := make([]*core.DB, len(sizes))
 	for i, n := range sizes {
 		dbs[i] = vecSizesDB(t, n)
 	}
 	for _, w := range []int{1, 4, runtime.NumCPU()} {
-		for _, e := range goldenEngines {
-			var b strings.Builder
-			for i, n := range sizes {
-				db := dbs[i]
-				db.UpdateConfig(func(cfg *sampler.Config) { cfg.Workers = w })
-				ctx := WithHints(context.Background(), e.h)
-				for _, q := range queries {
-					fmt.Fprintf(&b, "=== n=%d %s\n", n, q)
-					out, err := ExecContext(ctx, db, q)
-					if err != nil {
-						fmt.Fprintf(&b, "error: %v\n", err)
-						continue
-					}
-					b.WriteString(out.String())
-					node, err := ExplainContext(ctx, db, "EXPLAIN ANALYZE "+q)
-					if err != nil {
-						fmt.Fprintf(&b, "explain error: %v\n", err)
-						continue
-					}
-					var lines []string
-					planRows(node, 0, &lines)
-					b.WriteString("--- plan\n" + strings.Join(lines, "\n") + "\n")
+		var b strings.Builder
+		for i, n := range sizes {
+			db := dbs[i]
+			db.UpdateConfig(func(cfg *sampler.Config) { cfg.Workers = w })
+			for _, q := range queries {
+				fmt.Fprintf(&b, "=== n=%d %s\n", n, q)
+				out, err := Exec(db, q)
+				if err != nil {
+					fmt.Fprintf(&b, "error: %v\n", err)
+					continue
 				}
+				b.WriteString(out.String())
+				node, err := Explain(db, "EXPLAIN ANALYZE "+q)
+				if err != nil {
+					fmt.Fprintf(&b, "explain error: %v\n", err)
+					continue
+				}
+				var lines []string
+				planRows(node, 0, &lines)
+				b.WriteString("--- plan\n" + strings.Join(lines, "\n") + "\n")
 			}
-			checkGolden(t, "batch_boundaries.golden", fmt.Sprintf("workers=%d %s", w, e.name), b.String())
 		}
+		golden.Check(t, "testdata/batch_boundaries.golden", fmt.Sprintf("workers=%d", w), b.String())
 	}
 }
 
@@ -140,39 +128,35 @@ func TestEmitThenFail(t *testing.T) {
 		"SELECT v FROM t WHERE v > -1", // filter: incomparable values
 		"SELECT v * 2 AS d FROM t",     // project: non-numeric arithmetic
 	}
-	for _, e := range goldenEngines {
-		ctx := WithHints(context.Background(), e.h)
-		var b strings.Builder
-		for _, q := range queries {
-			fmt.Fprintf(&b, "=== stream %s\n", q)
-			cur, err := QueryContext(ctx, db, q)
-			if err != nil {
-				t.Fatalf("%s: %v", q, err)
-			}
-			rows := 0
-			for {
-				tup, err := cur.Next()
-				if err != nil {
-					fmt.Fprintf(&b, "after %d rows: %v\n", rows, err)
-					break
-				}
-				rows++
-				fmt.Fprintf(&b, "%s\n", tup.Values[0])
-			}
-			cur.Close()
-			fmt.Fprintf(&b, "=== exec %s\n", q)
-			out, err := ExecContext(ctx, db, q)
-			fmt.Fprintf(&b, "table=%v error: %v\n", out != nil, err)
+	var b strings.Builder
+	for _, q := range queries {
+		fmt.Fprintf(&b, "=== stream %s\n", q)
+		cur, err := QueryContext(context.Background(), db, q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
 		}
-		checkGolden(t, "emit_then_fail.golden", e.name, b.String())
+		rows := 0
+		for {
+			tup, err := cur.Next()
+			if err != nil {
+				fmt.Fprintf(&b, "after %d rows: %v\n", rows, err)
+				break
+			}
+			rows++
+			fmt.Fprintf(&b, "%s\n", tup.Values[0])
+		}
+		cur.Close()
+		fmt.Fprintf(&b, "=== exec %s\n", q)
+		out, err := Exec(db, q)
+		fmt.Fprintf(&b, "table=%v error: %v\n", out != nil, err)
 	}
+	golden.Check(t, "testdata/emit_then_fail.golden", "emit-then-fail", b.String())
 }
 
 // TestVecLimitStopsPulling asserts the need-driven chunk protocol: under
-// LIMIT k the vectorized scan must report exactly k emitted rows (not a
-// full batch), matching the row engine's per-row short circuit.
+// LIMIT k the scan must report exactly k emitted rows, not a full batch.
 func TestVecLimitStopsPulling(t *testing.T) {
-	db := vecSizesDB(t, vecBatchSize+1)
+	db := vecSizesDB(t, batchSize+1)
 	node, err := Explain(db, "EXPLAIN ANALYZE SELECT v FROM t LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +175,7 @@ func TestVecLimitStopsPulling(t *testing.T) {
 // produced keep flowing, and the cancellation surfaces at the next batch
 // boundary instead of hanging or truncating silently.
 func TestVecCancellationBetweenBatches(t *testing.T) {
-	db := vecSizesDB(t, 3*vecBatchSize)
+	db := vecSizesDB(t, 3*batchSize)
 	ctx, cancel := context.WithCancel(context.Background())
 	cur, err := QueryContext(ctx, db, "SELECT v FROM t")
 	if err != nil {
@@ -207,7 +191,7 @@ func TestVecCancellationBetweenBatches(t *testing.T) {
 		_, err := cur.Next()
 		if err == nil {
 			rows++
-			if rows > 3*vecBatchSize {
+			if rows > 3*batchSize {
 				t.Fatal("cursor delivered more rows than the table holds after cancellation")
 			}
 			continue
@@ -217,7 +201,16 @@ func TestVecCancellationBetweenBatches(t *testing.T) {
 		}
 		break
 	}
-	if rows > vecBatchSize {
-		t.Fatalf("cancellation crossed a batch boundary: %d rows delivered, want <= %d", rows, vecBatchSize)
+	if rows > batchSize {
+		t.Fatalf("cancellation crossed a batch boundary: %d rows delivered, want <= %d", rows, batchSize)
+	}
+}
+
+// planRows flattens an EXPLAIN tree into per-operator "Op detail rows=N"
+// lines (no wall times, no batch counts).
+func planRows(n *PlanNode, depth int, out *[]string) {
+	*out = append(*out, fmt.Sprintf("%*s%s %s rows=%d", depth*2, "", n.Op, n.Detail, n.Rows))
+	for _, c := range n.Children {
+		planRows(c, depth+1, out)
 	}
 }

@@ -200,11 +200,12 @@ var sessionSettings = map[string]func(cfg *sampler.Config, v float64) error{
 		cfg.WorldSeed = n
 		return nil
 	},
-	"vectorize": func(cfg *sampler.Config, v float64) error {
+	// vectorize selects nothing: it is validated and ignored so statement
+	// logs that recorded it still replay.
+	"vectorize": func(_ *sampler.Config, v float64) error {
 		if v != 0 && v != 1 {
 			return fmt.Errorf("sql: vectorize must be on or off")
 		}
-		cfg.DisableVectorize = v == 0
 		return nil
 	},
 }
@@ -507,4 +508,3 @@ func defaultName(n Node) string {
 		return "expr"
 	}
 }
-

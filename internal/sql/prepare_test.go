@@ -264,12 +264,12 @@ func TestQueryContextStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cur.Close()
-	sc, ok := cur.(*spanCursor)
+	pc, ok := cur.(*planCursor)
 	if !ok {
-		t.Fatalf("plain SELECT produced %T, want span-traced plan cursor", cur)
+		t.Fatalf("plain SELECT produced %T, want a plan cursor", cur)
 	}
-	if _, ok := sc.inner.(*vecLimitOp); !ok {
-		t.Fatalf("plain SELECT pipeline is %T, want streaming vecLimitOp", sc.inner)
+	if _, ok := pc.root.(*limitOp); !ok {
+		t.Fatalf("plain SELECT pipeline is %T, want streaming limitOp", pc.root)
 	}
 	var names []string
 	for {
@@ -289,8 +289,8 @@ func TestQueryContextStreams(t *testing.T) {
 
 // TestQueryContextBlockingShapes verifies blocking SELECT shapes
 // (aggregates, DISTINCT, ORDER BY) run on the same planned pipeline as
-// streaming queries: the returned cursor is their physical operator, which
-// materializes its own input internally on the first Next call.
+// streaming queries: the returned cursor streams their physical plan,
+// whose root materializes its own input internally on the first Next call.
 func TestQueryContextBlockingShapes(t *testing.T) {
 	db := testDB(t)
 	mustExec(t, db, "CREATE TABLE t (v)")
@@ -309,8 +309,8 @@ func TestQueryContextBlockingShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.q, err)
 		}
-		if _, ok := cur.(operator); !ok {
-			t.Fatalf("%s: produced %T, want a plan operator", tc.q, cur)
+		if _, ok := cur.(*planCursor); !ok {
+			t.Fatalf("%s: produced %T, want a plan cursor", tc.q, cur)
 		}
 		var got []float64
 		for {

@@ -76,9 +76,9 @@ func (p *Prepared) Query(db *core.DB, args ...ctable.Value) (Cursor, error) {
 
 // QueryContext is Query under a request context. Every SELECT streams
 // through the planned operator pipeline: rows are joined, filtered and
-// projected on demand as the cursor advances, and blocking operators
-// (aggregates, DISTINCT, ORDER BY) materialize their own input internally
-// on the first Next call. Other statements execute eagerly and the cursor
+// projected a batch at a time on demand as the cursor advances, and
+// blocking operators (aggregates, DISTINCT, ORDER BY) materialize their own
+// input internally on the first Next call. Other statements execute eagerly and the cursor
 // iterates the materialized result.
 func (p *Prepared) QueryContext(ctx context.Context, db *core.DB, args ...ctable.Value) (Cursor, error) {
 	if err := p.checkArity(args); err != nil {
@@ -97,10 +97,7 @@ func (p *Prepared) QueryContext(ctx context.Context, db *core.DB, args ...ctable
 		if err != nil {
 			return nil, err
 		}
-		// The streaming path leaves plan.root untouched (EXPLAIN reads the
-		// operator tree) and wraps it in a cursor that accumulates the
-		// "execute" phase as the consumer drains it.
-		return newSpanCursor(plan.root, env.qs), nil
+		return &planCursor{root: plan.root, qs: env.qs}, nil
 	}
 	tb, err := execStmtTraced(ctx, db, p.st, p.src, p.parseTime, args)
 	if err != nil {

@@ -13,11 +13,11 @@ import (
 )
 
 // Cursor is a pull-based iterator over query result rows — the streaming
-// half of the query API. Every physical plan operator implements Cursor, so
-// SELECTs stream through the planned pipeline one tuple per Next call;
-// blocking operators (Sort, Distinct, Aggregate) materialize their own
-// input internally on first Next but still emit row by row. A Cursor is
-// single-consumer and not safe for concurrent use.
+// half of the query API. A SELECT's cursor is a planCursor over its
+// physical plan: the operators exchange column batches, and the cursor
+// hands their rows out one per Next call. Blocking operators (Sort,
+// Distinct, Aggregate) materialize their own input internally on the first
+// pull. A Cursor is single-consumer and not safe for concurrent use.
 type Cursor interface {
 	// Columns returns the result column names (empty for statements that
 	// produce no rows, e.g. DDL).
@@ -43,7 +43,7 @@ type execEnv struct {
 	hints Hints
 	// qs traces this execution: phase spans plus a statement-scope sampler
 	// counter set chained to the engine-wide one. The env's sampler records
-	// into it, and per-operator scopes chain onto qs.Sampler in lowerNode.
+	// into it, and per-operator scopes chain onto qs.Sampler in lower.
 	qs *obs.QueryStats
 }
 
@@ -71,53 +71,58 @@ func (env *execEnv) bindArg(i int) (ctable.Value, error) {
 	return env.args[i], nil
 }
 
-// spanCursor wraps the streaming SELECT cursor, accumulating the wall time
-// the consumer spends inside Next as the trace's "execute" phase. The phase
-// is flushed exactly once — at EOF, on the first error, or at Close — so a
-// partially drained stream still reports the time it actually spent.
-type spanCursor struct {
-	inner   operator
+// planCursor is the streaming cursor over a physical plan, and the one
+// place rows are handed out of a plan one at a time: each Next returns the
+// next row gathered out of the root operator's current batch, pulling a
+// new batch when that one is used up. It also accumulates the wall time
+// the consumer spends inside Next as the trace's "execute" phase. The
+// phase is flushed exactly once — at EOF, on the first error, or at Close
+// — so a partially drained stream still reports the time it actually
+// spent.
+type planCursor struct {
+	root    operator
 	qs      *obs.QueryStats
+	cur     *ctable.Batch // root batch being handed out; nil between batches
+	ri      int           // next logical row of cur
 	elapsed time.Duration
 	flushed bool
 }
 
-func newSpanCursor(inner operator, qs *obs.QueryStats) Cursor {
-	if qs == nil {
-		return inner
-	}
-	return &spanCursor{inner: inner, qs: qs}
-}
-
-// base exposes the wrapped root operator's metadata: the span wrapper is
-// transparent to plan introspection — the cursor IS the planned pipeline,
-// plus phase accounting.
-func (c *spanCursor) base() *opBase { return c.inner.base() }
-
 // Columns implements Cursor.
-func (c *spanCursor) Columns() []string { return c.inner.Columns() }
+func (c *planCursor) Columns() []string { return c.root.Columns() }
 
-// Next implements Cursor.
-func (c *spanCursor) Next() (*ctable.Tuple, error) {
+// Next implements Cursor. Each returned tuple is freshly gathered, so it
+// stays valid while the root reuses its batch memory.
+func (c *planCursor) Next() (*ctable.Tuple, error) {
 	//pipvet:allow detsource span-trace telemetry, never feeds sampled state
 	start := time.Now()
-	t, err := c.inner.Next()
+	for c.cur == nil || c.ri >= c.cur.Len() {
+		b, err := c.root.NextBatch(batchSize)
+		if err != nil {
+			c.cur = nil
+			//pipvet:allow detsource span-trace telemetry, never feeds sampled state
+			c.elapsed += time.Since(start)
+			c.flush()
+			return nil, err
+		}
+		c.cur, c.ri = b, 0
+	}
+	t := c.cur.Row(c.ri)
+	c.ri++
 	//pipvet:allow detsource span-trace telemetry, never feeds sampled state
 	c.elapsed += time.Since(start)
-	if err != nil {
-		c.flush()
-	}
-	return t, err
+	return &t, nil
 }
 
 // Close implements Cursor.
-func (c *spanCursor) Close() error {
-	err := c.inner.Close()
+func (c *planCursor) Close() error {
+	c.cur = nil
+	err := c.root.Close()
 	c.flush()
 	return err
 }
 
-func (c *spanCursor) flush() {
+func (c *planCursor) flush() {
 	if c.flushed {
 		return
 	}

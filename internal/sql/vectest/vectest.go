@@ -1,11 +1,13 @@
-// Package vectest is the differential bit-identity harness for the two SQL
-// execution engines: the row-at-a-time operators and the columnar batch
-// engine (internal/sql/vecops.go). It seeds one catalog from the paper's
-// evaluation generators (synthetic TPC-H and the iceberg scenario, §VI) and
-// runs a query corpus through both engines — switched per request via
-// planner hints or per session via SET vectorize = on|off — asserting
-// byte-identical result tables (values, sampled moments, conditions, row
-// order) and identical per-operator EXPLAIN ANALYZE row counts.
+// Package vectest is the golden bit-identity corpus for the SQL execution
+// engine (the columnar batch operators of internal/sql/operators.go). It
+// seeds one catalog from the paper's evaluation generators (synthetic
+// TPC-H and the iceberg scenario, §VI) and runs a query corpus whose
+// complete observable output — result tables (values, sampled moments,
+// conditions, row order), per-operator EXPLAIN ANALYZE row counts and
+// errors — is checked in under testdata/ and must reproduce byte for byte
+// at every worker count. The golden files were generated while the engine
+// still had a row-at-a-time twin and matched both engines; regenerate them
+// only with go test -update, and only for a declared change of results.
 //
 // Float comparison rides on ctable.Value.String, which renders every NaN
 // payload as "NaN" — the one place bit-identity is deliberately relaxed,
@@ -110,7 +112,7 @@ func SeedDB(samples, workers int) (*core.DB, error) {
 	return db, nil
 }
 
-// Corpus returns the differential query corpus: the planner-equivalence
+// Corpus returns the golden query corpus: the planner-equivalence
 // shapes (scans, filters, joins, DISTINCT, ORDER BY, LIMIT, constant
 // folding) plus SQL renderings of the paper's TPC-H evaluation queries
 // (Q1-Q3 analogues) and the iceberg danger query, exercising every sampled
@@ -151,8 +153,7 @@ type Result struct {
 	// Rows is the result table rendered by ctable.Table.String.
 	Rows string
 	// Plan lists one "Op detail rows=N" line per operator, depth-first —
-	// wall times and engine-specific counters (batches=) excluded, so the
-	// two engines must agree line for line.
+	// wall times and batch counts excluded.
 	Plan []string
 }
 
@@ -173,8 +174,8 @@ func RunQuery(db *core.DB, q string, h sql.Hints) (Result, error) {
 	return Result{Rows: out.String(), Plan: PlanRows(node)}, nil
 }
 
-// PlanRows flattens a plan tree into engine-neutral per-operator lines:
-// operator, detail and emitted row count only.
+// PlanRows flattens a plan tree into per-operator lines: operator, detail
+// and emitted row count only.
 func PlanRows(node *sql.PlanNode) []string {
 	var out []string
 	var walk func(n *sql.PlanNode, depth int)

@@ -1,39 +1,22 @@
 package vectest
 
 import (
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
 	"pip/internal/core"
+	"pip/internal/golden"
 	"pip/internal/sql"
 )
 
 const testSamples = 200
 
-// update rewrites the golden files from the current engine instead of
-// comparing against them: go test ./internal/sql/vectest -update. CI never
-// passes it, so a checked-in golden file changes only by a reviewed commit.
-var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current engine")
-
 // workerCounts are the sampler worker counts every golden comparison runs
 // at: sampled moments are bit-identical at any worker count, so one golden
 // file serves all of them.
 var workerCounts = []int{1, 4, runtime.NumCPU()}
-
-// engines are the per-request switches for the two execution engines; the
-// goldens must hold on both.
-var engines = []struct {
-	name string
-	h    sql.Hints
-}{
-	{"row", sql.Hints{NoVectorize: true}},
-	{"vectorized", sql.Hints{}},
-}
 
 func seedDB(t *testing.T, workers int) *core.DB {
 	t.Helper()
@@ -42,47 +25,6 @@ func seedDB(t *testing.T, workers int) *core.DB {
 		t.Fatal(err)
 	}
 	return db
-}
-
-// written records the golden files rewritten by this -update run, so the
-// first rendering writes a file and every later one is still compared.
-var written = map[string]bool{}
-
-// checkGolden compares got with testdata/name byte for byte, reporting the
-// first differing line.
-func checkGolden(t *testing.T, name, label, got string) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update && !written[path] {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		written[path] = true
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (regenerate with: go test -run %s -update)", err, t.Name())
-	}
-	if got == string(want) {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; ; i++ {
-		if i >= len(gl) || i >= len(wl) || gl[i] != wl[i] {
-			g, w := "<end>", "<end>"
-			if i < len(gl) {
-				g = gl[i]
-			}
-			if i < len(wl) {
-				w = wl[i]
-			}
-			t.Fatalf("%s: %s differs from %s at line %d:\n got: %q\nwant: %q", label, name, path, i+1, g, w)
-		}
-	}
 }
 
 // renderCorpus runs every corpus query under hints h and renders, per
@@ -111,10 +53,7 @@ func renderCorpus(db *core.DB, h sql.Hints) string {
 // counts to the checked-in golden file, at every worker count.
 func TestGoldenCorpus(t *testing.T) {
 	for _, w := range workerCounts {
-		db := seedDB(t, w)
-		for _, e := range engines {
-			checkGolden(t, "corpus.golden", fmt.Sprintf("workers=%d %s", w, e.name), renderCorpus(db, e.h))
-		}
+		golden.Check(t, "testdata/corpus.golden", fmt.Sprintf("workers=%d", w), renderCorpus(seedDB(t, w), sql.Hints{}))
 	}
 }
 
@@ -122,71 +61,38 @@ func TestGoldenCorpus(t *testing.T) {
 // disabled: the naive cross-product-then-filter pipeline (nested-loop
 // joins, no pushdown, no pruning) must match its own golden file.
 func TestGoldenCorpusRulesOff(t *testing.T) {
+	off := sql.Hints{NoFold: true, NoPushdown: true, NoHashJoin: true, NoPrune: true}
 	for _, w := range workerCounts {
-		db := seedDB(t, w)
-		for _, e := range engines {
-			h := e.h
-			h.NoFold, h.NoPushdown, h.NoHashJoin, h.NoPrune = true, true, true, true
-			checkGolden(t, "corpus_rules_off.golden", fmt.Sprintf("workers=%d %s", w, e.name), renderCorpus(db, h))
-		}
+		golden.Check(t, "testdata/corpus_rules_off.golden", fmt.Sprintf("workers=%d", w), renderCorpus(seedDB(t, w), off))
 	}
 }
 
-// TestSetVectorizeMatchesHint proves the session setting and the
-// per-request hint select the same engines: SET vectorize = off must
-// reproduce the NoVectorize hint byte for byte, and SET vectorize = on
-// must restore the default.
-func TestSetVectorizeMatchesHint(t *testing.T) {
+// TestSetVectorizeIsNoOp proves the retired engine switch is accepted and
+// ignored: with either SET vectorize value in effect the corpus still
+// matches its golden file.
+func TestSetVectorizeIsNoOp(t *testing.T) {
 	db := seedDB(t, 2)
-	q := Corpus()[8] // TPC-H Q1 analogue: sampled aggregate
-	run := func(h sql.Hints) Result {
-		t.Helper()
-		r, err := RunQuery(db, q, h)
-		if err != nil {
+	for _, v := range []string{"off", "on"} {
+		if _, err := sql.Exec(db, "SET vectorize = "+v); err != nil {
 			t.Fatal(err)
 		}
-		return r
+		golden.Check(t, "testdata/corpus.golden", "SET vectorize = "+v, renderCorpus(db, sql.Hints{}))
 	}
-	same := func(label string, got, want Result) {
-		t.Helper()
-		if got.Rows != want.Rows || strings.Join(got.Plan, "\n") != strings.Join(want.Plan, "\n") {
-			t.Fatalf("%s differs:\ngot:\n%s\nwant:\n%s", label, got.Rows, want.Rows)
-		}
-	}
-	hintRow := run(engines[0].h)
-	hintVec := run(engines[1].h)
-	if _, err := sql.Exec(db, "SET vectorize = off"); err != nil {
-		t.Fatal(err)
-	}
-	setRow := run(sql.Hints{})
-	if _, err := sql.Exec(db, "SET vectorize = on"); err != nil {
-		t.Fatal(err)
-	}
-	setVec := run(sql.Hints{})
-	same("SET off vs hint", setRow, hintRow)
-	same("SET on vs default", setVec, hintVec)
 }
 
-// TestVectorizedPlanReportsBatches pins the observability split: the
-// vectorized engine annotates operators with batches= in EXPLAIN ANALYZE
-// while the row engine never does, and the rendered rows= stays identical.
+// TestVectorizedPlanReportsBatches pins the observability annotation:
+// EXPLAIN ANALYZE reports batches= next to rows= on every operator.
 func TestVectorizedPlanReportsBatches(t *testing.T) {
 	db := seedDB(t, 1)
-	q := "EXPLAIN ANALYZE SELECT cust, price FROM customers WHERE price > 200"
-	render := func(h sql.Hints) string {
-		out, err := sql.ExecContext(sql.WithHints(t.Context(), h), db, q)
-		if err != nil {
-			t.Fatal(err)
+	out, err := sql.Exec(db, "EXPLAIN ANALYZE SELECT cust, price FROM customers WHERE price > 200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tup := range out.Tuples {
+		line := tup.Values[0].S
+		if strings.Contains(line, "rows=") && !strings.Contains(line, "batches=") {
+			t.Fatalf("EXPLAIN ANALYZE line lacks batches=: %q\n%s", line, out)
 		}
-		return out.String()
-	}
-	vec := render(engines[1].h)
-	row := render(engines[0].h)
-	if !strings.Contains(vec, "batches=") {
-		t.Fatalf("vectorized EXPLAIN ANALYZE lacks batches=:\n%s", vec)
-	}
-	if strings.Contains(row, "batches=") && !strings.Contains(row, "samples=") {
-		t.Fatalf("row-engine EXPLAIN ANALYZE reports operator batches:\n%s", row)
 	}
 }
 
@@ -205,30 +111,28 @@ var streamQueries = []string{
 func TestStreamingCursorsMatch(t *testing.T) {
 	for _, w := range workerCounts {
 		db := seedDB(t, w)
-		for _, e := range engines {
-			var b strings.Builder
-			for _, q := range streamQueries {
-				fmt.Fprintf(&b, "=== %s\n", q)
-				cur, err := sql.QueryContext(sql.WithHints(t.Context(), e.h), db, q)
-				if err != nil {
-					fmt.Fprintf(&b, "error: %v\n", err)
-					continue
-				}
-				for {
-					tup, err := cur.Next()
-					if err != nil {
-						fmt.Fprintf(&b, "end: %v\n", err)
-						break
-					}
-					cells := make([]string, len(tup.Values))
-					for i, v := range tup.Values {
-						cells[i] = v.String()
-					}
-					fmt.Fprintf(&b, "%s@%s\n", strings.Join(cells, "|"), tup.Cond)
-				}
-				cur.Close()
+		var b strings.Builder
+		for _, q := range streamQueries {
+			fmt.Fprintf(&b, "=== %s\n", q)
+			cur, err := sql.QueryContext(t.Context(), db, q)
+			if err != nil {
+				fmt.Fprintf(&b, "error: %v\n", err)
+				continue
 			}
-			checkGolden(t, "streams.golden", fmt.Sprintf("workers=%d %s", w, e.name), b.String())
+			for {
+				tup, err := cur.Next()
+				if err != nil {
+					fmt.Fprintf(&b, "end: %v\n", err)
+					break
+				}
+				cells := make([]string, len(tup.Values))
+				for i, v := range tup.Values {
+					cells[i] = v.String()
+				}
+				fmt.Fprintf(&b, "%s@%s\n", strings.Join(cells, "|"), tup.Cond)
+			}
+			cur.Close()
 		}
+		golden.Check(t, "testdata/streams.golden", fmt.Sprintf("workers=%d", w), b.String())
 	}
 }

@@ -69,7 +69,7 @@ func (a *Applier) Apply(ctx context.Context, r Record) error {
 	}
 	h := a.handles[r.M.Session]
 	if h == nil {
-		// Session() inherits the root configuration as of this moment in
+		// The handle inherits the root configuration as of this moment in
 		// replay, but the original session inherited it at creation time —
 		// possibly before root SET statements replay has already applied.
 		// The record carries the session's world seed so its creation
@@ -78,7 +78,7 @@ func (a *Applier) Apply(ctx context.Context, r Record) error {
 		// on. (The root handle never takes this path: its seed is boot
 		// configuration, the "seed" half of the (seed, statement log) pair
 		// replay reproduces.)
-		h = a.root.Session()
+		h = a.root.ReplaySession(r.M.Session)
 		h.MarkApplier()
 		h.UpdateConfig(func(c *sampler.Config) { c.WorldSeed = r.M.Seed })
 		a.handles[r.M.Session] = h

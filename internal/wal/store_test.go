@@ -791,3 +791,57 @@ func TestSymbolicArgumentRejected(t *testing.T) {
 		t.Fatal("symbolic argument encoded")
 	}
 }
+
+// TestRetiredVectorizeSettingReplays replays statement logs written while
+// SET vectorize still selected between two execution engines. The setting
+// is now a validated no-op, so a log holding it must recover without error
+// and answer a sampled query bit-identically to the same log without it.
+func TestRetiredVectorizeSettingReplays(t *testing.T) {
+	stmts := []string{
+		"CREATE TABLE orders (cust, price)",
+		"INSERT INTO orders VALUES ('Joe', CREATE_VARIABLE('Normal', 100, 10))",
+		"SET vectorize = off",
+		"INSERT INTO orders VALUES ('Ann', CREATE_VARIABLE('Normal', 80, 5)), ('Bob', 42.5)",
+		"SET vectorize = on",
+		"INSERT INTO orders VALUES ('Cy', CREATE_VARIABLE('Exponential', 0.02))",
+		"SET vectorize = 0",
+	}
+	const q = "SELECT cust, expectation(price) AS e, conf() AS p FROM orders WHERE price > 85"
+	replay := func(withSet bool) string {
+		t.Helper()
+		dir := t.TempDir()
+		frames := append([]byte(nil), segMagic...)
+		seq := uint64(0)
+		for _, s := range stmts {
+			if !withSet && strings.HasPrefix(s, "SET vectorize") {
+				continue
+			}
+			seq++
+			var err error
+			frames, err = AppendRecord(frames, Record{Seq: seq, M: core.Mutation{Session: core.RootSessionID, Text: s}})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), frames, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db := newDB(11)
+		info, err := Restore(dir, db)
+		if err != nil {
+			t.Fatalf("restore (with SET vectorize: %v): %v", withSet, err)
+		}
+		if info.Replayed != int(seq) || info.TailErr != nil {
+			t.Fatalf("restore (with SET vectorize: %v): %+v, want %d records replayed", withSet, info, seq)
+		}
+		out, err := sql.Exec(db, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	with, without := replay(true), replay(false)
+	if with != without {
+		t.Fatalf("log with SET vectorize answers differently:\n%s\nwithout:\n%s", with, without)
+	}
+}

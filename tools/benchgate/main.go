@@ -5,8 +5,8 @@
 //	go run ./tools/benchgate -old BENCH_5.json -new BENCH_6.json [-factor 8]
 //
 // Checks, in order: the schema versions must match exactly (a layout change
-// invalidates the comparison, not the build); every speedup and vectorized
-// row of the new report must carry Identical=true (a bit-identity break is
+// invalidates the comparison, not the build); every speedup row of the
+// new report must carry Identical=true (a bit-identity break is
 // a correctness failure, never a perf tradeoff); and throughput /
 // per-sample cost / join latency / the join micro-pair must not be worse
 // than the old report by more than the tolerance factor. The factor defaults high (8x) because CI machines are noisy and
@@ -35,10 +35,6 @@ type report struct {
 		Workload  string `json:"workload"`
 		Identical bool   `json:"identical"`
 	} `json:"speedup"`
-	Vectorized []struct {
-		Workload  string `json:"workload"`
-		Identical bool   `json:"identical"`
-	} `json:"vectorized"`
 	JoinBenches []struct {
 		Name    string  `json:"name"`
 		NsPerOp float64 `json:"ns_per_op"`
@@ -80,11 +76,6 @@ func main() {
 	for _, s := range newRep.Speedup {
 		if !s.Identical {
 			fail("workload %s: parallel run is not bit-identical to sequential", s.Workload)
-		}
-	}
-	for _, v := range newRep.Vectorized {
-		if !v.Identical {
-			fail("workload %s: vectorized run is not bit-identical to the row engine", v.Workload)
 		}
 	}
 	// Higher is better for throughput; lower is better for costs.
